@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .liealg import b_x_form, frobenius, membership_residual, random_element
+from .liealg import _require_member, b_x_form, basis, frobenius
 
 
 class OrbitType(NamedTuple):
@@ -43,12 +43,6 @@ def admissible_types(desc):
             for s in range(desc.r + 1)
             for t in range(s, -1, -1)
             for u in (s - t,)]
-
-
-def _require_member(desc, X, tol=1e-8):
-    res = membership_residual(desc, X)
-    if res > tol * max(1.0, np.abs(X).max()):
-        raise ValueError(f"matrix is not in {desc.name()} (residual {res:.3e})")
 
 
 def k_rank(desc, X, tol=1e-8):
@@ -212,19 +206,29 @@ def pplus_closure_report(desc, w, s):
 
 # --- orbit sampling ---------------------------------------------------------------
 
-def random_conjugate(desc, X, steps=3, seed=None, rng=None):
-    """Ad(g) X for g a product of `steps` exponentials exp(xi), |xi| <= 0.5."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    X = np.asarray(X)
-    g = np.eye(desc.N, dtype=complex if desc.base == "C" else float)
+def random_exp_product(B, rng, steps):
+    """(g, g^-1) for g = exp(xi_1) ... exp(xi_steps).
+
+    Each xi is a combination of the basis stack B with N(0, 1) coefficients,
+    scaled down to Frobenius norm 0.5 when it is larger.
+    """
+    g = ginv = np.eye(B.shape[-1], dtype=B.dtype)
     for _ in range(int(steps)):
-        xi = random_element(desc, rng)
+        xi = np.tensordot(rng.standard_normal(len(B)), B, 1)
         nrm = frobenius(xi)
         if nrm > 0.5:
             xi = xi * (0.5 / nrm)
         g = g @ expm(xi)
-    return g @ X @ np.linalg.inv(g)
+        ginv = expm(-xi) @ ginv
+    return g, ginv
+
+
+def random_conjugate(desc, X, steps=3, seed=None, rng=None):
+    """Ad(g) X for g a product of `steps` exponentials exp(xi), |xi| <= 0.5."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    g, ginv = random_exp_product(basis(desc), rng, steps)
+    return g @ np.asarray(X) @ ginv
 
 
 def semisimple_orbit_check(desc, X, eps, tol=1e-6):

@@ -23,8 +23,8 @@ from .classify import (
 )
 from .divalg import DAMatrix
 from .liealg import (
-    PPlusElement, b_x_form, frobenius, make_algebra, proj_p, random_element,
-    to_p_plus,
+    DEFAULT_TOL, b_x_form, bracket, frobenius, make_algebra, proj_p,
+    random_element, to_p_plus,
 )
 from .poisson import (
     ContractionModel, PoissonContext, contraction_bracket, disc_model_bracket,
@@ -33,7 +33,6 @@ from .poisson import (
 )
 from .triples import check_triple, ks_element, orbit_rep, standard_triples
 
-DEFAULT_TOL = 1e-9
 DEFAULT_SIZES = (("sp", (4,)), ("u", (3, 3)), ("sostar", (4,)), ("so2q", (6,)))
 SUITES = ("triples", "classify", "closure", "reduction", "invariants",
           "poisson", "jordan", "contraction")
@@ -133,10 +132,6 @@ def _check(name, prop, passed, residual=None, **extra):
     return out
 
 
-def _bracket_residual(a, b):
-    return a @ b - b @ a
-
-
 def suite_triples(seed, tol, samples):
     checks = []
     for family, params in DEFAULT_SIZES:
@@ -148,14 +143,14 @@ def suite_triples(seed, tol, samples):
             flags = check_triple(desc, e, f, h, tol=0.0)
             ok = ok and flags.sl2 and flags.invariant and flags.h1
             worst = max(worst,
-                        frobenius(_bracket_residual(h, e) - 2 * e),
-                        frobenius(_bracket_residual(h, f) + 2 * f),
-                        frobenius(_bracket_residual(e, f) - h))
+                        frobenius(bracket(h, e) - 2 * e),
+                        frobenius(bracket(h, f) + 2 * f),
+                        frobenius(bracket(e, f) - h))
         for i in range(len(trips)):
             for j in range(i + 1, len(trips)):
                 for A in trips[i]:
                     for B in trips[j]:
-                        worst = max(worst, frobenius(_bracket_residual(A, B)))
+                        worst = max(worst, frobenius(bracket(A, B)))
         ok = ok and worst == 0.0
         checks.append(_check(
             f"triples-{desc.name()}",

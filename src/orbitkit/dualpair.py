@@ -37,16 +37,21 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .liealg import (
     DEFAULT_TOL,
     LieAlgebraDescriptor,
+    form_j,
+    basis,
+    conj,
+    fixed_basis,
+    fixed_residual,
+    form_involution,
     frobenius,
     make_algebra,
-    random_element,
+    quaternionic_involution,
 )
-from .classify import classify_nilpotent
+from .classify import classify_nilpotent, random_exp_product
 
 CASES = ("o-sp", "u-u", "sp-sostar", "sp-so2q")
 
@@ -58,6 +63,8 @@ class DualPairConfig:
     gs is the matrix of the source-side form as it enters the dagger:
     the metric diag(I_s', -I_s'') for the first three cases (block-doubled
     in the quaternionic representation), the symplectic J_2s for sp-so2q.
+    The source algebra h and W are the common fixed points of
+    h_involutions and w_involutions; h_stack is the basis of h.
     """
 
     case: str
@@ -67,6 +74,9 @@ class DualPairConfig:
     target: LieAlgebraDescriptor
     shape: tuple
     gs: np.ndarray = field(repr=False)
+    h_involutions: tuple = field(repr=False)
+    w_involutions: tuple = field(repr=False)
+    h_stack: np.ndarray = field(repr=False)
 
     @property
     def s(self):
@@ -99,45 +109,41 @@ def make_dual_pair(case, sprime, ssecond, params):
     if np.isscalar(params):
         params = (params,)
     params = tuple(int(v) for v in params)
+    g = np.diag(np.r_[np.ones(sprime), -np.ones(ssecond)])
     if case == "o-sp":
         target = make_algebra("sp", params)
         shape = (target.N, s)
-        gs = np.diag(np.r_[np.ones(sprime), -np.ones(ssecond)])
+        gs = g
+        h_invs, w_invs = (form_involution(gs), conj), (conj,)
     elif case == "u-u":
         target = make_algebra("u", params)
         shape = (target.N, s)
-        gs = np.diag(np.r_[np.ones(sprime), -np.ones(ssecond)]).astype(complex)
+        gs = g.astype(complex)
+        h_invs, w_invs = (form_involution(gs),), ()
     elif case == "sp-sostar":
         target = make_algebra("sostar", params)
         shape = (target.N, 2 * s)
-        g = np.diag(np.r_[np.ones(sprime), -np.ones(ssecond)])
-        gs = np.block([[g, np.zeros((s, s))], [np.zeros((s, s)), g]]).astype(complex)
+        gs = np.kron(np.eye(2), g).astype(complex)
+        Js = form_j(s)
+        h_invs = (form_involution(gs), quaternionic_involution(Js, Js))
+        w_invs = (quaternionic_involution(target.J_V, Js),)
     elif case == "sp-so2q":
         if ssecond != 0:
             raise ValueError("the symplectic source form has no signature; use ssecond=0")
         target = make_algebra("so2q", params)
         shape = (target.N, 2 * s)
-        gs = np.block(
-            [[np.zeros((s, s)), -np.eye(s)], [np.eye(s), np.zeros((s, s))]]
-        )
+        gs = form_j(s)
+        h_invs, w_invs = (form_involution(gs), conj), (conj,)
     else:
         raise ValueError(f"unknown dual-pair case {case!r}")
-    return DualPairConfig(case, sprime, ssecond, params, target, shape, gs)
+    m = shape[1]
+    return DualPairConfig(case, sprime, ssecond, params, target, shape, gs,
+                          h_invs, w_invs, fixed_basis(h_invs, (m, m)))
 
 
 def map_residual(config, alpha):
     """How far alpha is from being a valid interlacing map (ignoring shape)."""
-    alpha = np.asarray(alpha)
-    if config.case in ("o-sp", "sp-so2q"):
-        return float(np.abs(np.imag(alpha)).max()) if np.iscomplexobj(alpha) else 0.0
-    if config.case == "u-u":
-        return 0.0
-    # quaternionic rep structure [[A, -conj(B)], [B, conj(A)]]
-    n, s2 = config.shape
-    n, s = n // 2, s2 // 2
-    A, C = alpha[:n, :s], alpha[:n, s:]
-    B, D = alpha[n:, :s], alpha[n:, s:]
-    return float(max(frobenius(D - A.conj()), frobenius(C + B.conj())))
+    return fixed_residual(config.w_involutions, alpha)
 
 
 def check_map(config, alpha, tol=DEFAULT_TOL):
@@ -201,24 +207,7 @@ def mu_g(config, alpha):
 
 def h_residual(config, Y):
     """Membership residual of Y in the source algebra h."""
-    Y = np.asarray(Y)
-    if config.case == "o-sp":
-        r = frobenius(Y.T @ config.gs + config.gs @ Y)
-        if np.iscomplexobj(Y):
-            r = max(r, float(np.abs(np.imag(Y)).max()))
-        return float(r)
-    if config.case == "u-u":
-        return float(frobenius(Y.conj().T @ config.gs + config.gs @ Y))
-    if config.case == "sp-sostar":
-        n = Y.shape[0] // 2
-        A, C = Y[:n, :n], Y[:n, n:]
-        B, D = Y[n:, :n], Y[n:, n:]
-        struct = max(frobenius(D - A.conj()), frobenius(C + B.conj()))
-        return float(max(struct, frobenius(Y.conj().T @ config.gs + config.gs @ Y)))
-    r = frobenius(Y.T @ config.gs + config.gs @ Y)
-    if np.iscomplexobj(Y):
-        r = max(r, float(np.abs(np.imag(Y)).max()))
-    return float(r)
+    return fixed_residual(config.h_involutions, Y)
 
 
 def trace_r(config, M):
@@ -239,12 +228,6 @@ def omega_w(config, alpha, beta):
     return trace_r(config, dagger(config, beta) @ np.asarray(alpha))
 
 
-def _unit(shape, a, b, val=1.0, dtype=float):
-    E = np.zeros(shape, dtype=dtype)
-    E[a, b] = val
-    return E
-
-
 def _hom_rep(A, B):
     """Complex rep of the quaternionic matrix A + jB."""
     return np.block([[A, -B.conj()], [B, A.conj()]])
@@ -252,115 +235,24 @@ def _hom_rep(A, B):
 
 def w_basis(config):
     """Ordered real basis of W (ambient matrices)."""
-    N, m = config.shape
-    out = []
-    if config.case in ("o-sp", "sp-so2q"):
-        for a in range(N):
-            for b in range(m):
-                out.append(_unit((N, m), a, b))
-    elif config.case == "u-u":
-        for a in range(N):
-            for b in range(m):
-                out.append(_unit((N, m), a, b, 1.0, complex))
-                out.append(_unit((N, m), a, b, 1j, complex))
-    else:
-        n, s = N // 2, m // 2
-        Z = np.zeros((n, s), dtype=complex)
-        for a in range(n):
-            for b in range(s):
-                for unit in (1.0, 1j):
-                    E = _unit((n, s), a, b, unit, complex)
-                    out.append(_hom_rep(E, Z))
-                    out.append(_hom_rep(Z, E))
-    assert len(out) == config.w_dim
-    return out
+    B = fixed_basis(config.w_involutions, config.shape)
+    assert len(B) == config.w_dim
+    return B
 
 
 def h_basis(config):
     """Ordered real basis of the source algebra h (matrices acting on V^s)."""
-    s = config.s
-    out = []
-    if config.case == "o-sp":
-        for i in range(s):
-            for j in range(i + 1, s):
-                A = _unit((s, s), i, j) - _unit((s, s), j, i)
-                out.append(config.gs @ A)
-    elif config.case == "u-u":
-        for i in range(s):
-            out.append(config.gs @ _unit((s, s), i, i, 1j, complex))
-            for j in range(i + 1, s):
-                out.append(
-                    config.gs
-                    @ (_unit((s, s), i, j, 1.0, complex) - _unit((s, s), j, i, 1.0, complex))
-                )
-                out.append(
-                    config.gs
-                    @ (_unit((s, s), i, j, 1j, complex) + _unit((s, s), j, i, 1j, complex))
-                )
-        out = [M.astype(complex) for M in out]
-    elif config.case == "sp-sostar":
-        Z = np.zeros((s, s), dtype=complex)
-        # A-part skew-hermitian, B-part symmetric: anti-hermitian over H
-        for i in range(s):
-            out.append(_hom_rep(_unit((s, s), i, i, 1j, complex), Z))
-            for j in range(i + 1, s):
-                A = _unit((s, s), i, j, 1.0, complex) - _unit((s, s), j, i, 1.0, complex)
-                out.append(_hom_rep(A, Z))
-                A = _unit((s, s), i, j, 1j, complex) + _unit((s, s), j, i, 1j, complex)
-                out.append(_hom_rep(A, Z))
-        for i in range(s):
-            for j in range(i, s):
-                B = _unit((s, s), i, j, 1.0, complex)
-                if i != j:
-                    B = B + _unit((s, s), j, i, 1.0, complex)
-                out.append(_hom_rep(Z, B))
-                out.append(_hom_rep(Z, 1j * B))
-        out = [config.gs @ M for M in out]
-    elif config.case == "sp-so2q":
-        m = 2 * s
-        for i in range(m):
-            for j in range(i, m):
-                S = _unit((m, m), i, j) + _unit((m, m), j, i)
-                if i == j:
-                    S = _unit((m, m), i, i)
-                out.append(config.gs @ S)
-    return out
+    return config.h_stack
 
 
 def random_h_isometry(config, rng, steps=2):
     """(x, x^-1) for x a product of exponentials in the source group."""
-    m = config.shape[1]
-    dtype = float if config.case in ("o-sp", "sp-so2q") else complex
-    B = h_basis(config)
-    x = np.eye(m, dtype=dtype)
-    xinv = np.eye(m, dtype=dtype)
-    for _ in range(int(steps)):
-        xi = np.zeros((m, m), dtype=dtype)
-        if B:
-            c = rng.standard_normal(len(B))
-            for ci, Bi in zip(c, B):
-                xi = xi + ci * Bi
-            nrm = frobenius(xi)
-            if nrm > 0.5:
-                xi = xi * (0.5 / nrm)
-        x = x @ expm(xi)
-        xinv = expm(-xi) @ xinv
-    return x, xinv
+    return random_exp_product(h_basis(config), rng, steps)
 
 
 def random_g_isometry(config, rng, steps=2):
     """(y, y^-1) for y a product of exponentials in the target group."""
-    desc = config.target
-    y = np.eye(desc.N, dtype=complex if desc.base == "C" else float)
-    yinv = y.copy()
-    for _ in range(int(steps)):
-        xi = random_element(desc, rng)
-        nrm = frobenius(xi)
-        if nrm > 0.5:
-            xi = xi * (0.5 / nrm)
-        y = y @ expm(xi)
-        yinv = expm(-xi) @ yinv
-    return y, yinv
+    return random_exp_product(basis(config.target), rng, steps)
 
 
 def _isotropic_frame(config):
@@ -591,12 +483,8 @@ def semisimple_reduction_check(config, eps, count, seed, tol=1e-6):
         )
     level = -eps * desc.J_V
     for child in np.random.SeedSequence(seed).spawn(int(count)):
-        rng = np.random.default_rng(child)
-        xi = random_element(desc, rng)
-        nrm = frobenius(xi)
-        if nrm > 0.5:
-            xi = xi * (0.5 / nrm)
-        alpha = np.sqrt(eps) * expm(xi)
+        g, _ = random_exp_product(basis(desc), np.random.default_rng(child), 1)
+        alpha = np.sqrt(eps) * g
         if frobenius(mu_h(config, alpha) - level) > tol * max(1.0, eps):
             return False
         if not semisimple_orbit_check(desc, mu_g(config, alpha), eps, tol=tol):

@@ -1,19 +1,29 @@
-"""The four classical hermitian matrix Lie algebras as certified block spaces.
+"""The four classical hermitian matrix Lie algebras, each cut out by a form.
 
-Families and their ambient models:
+Every algebra is the set of ambient matrices X that solve
 
-  sp(l, R)   real 2l x 2l      [[A, B], [C, -A^T]],  B, C symmetric
-  u(p, q)    complex (p+q)^2   [[A, B*], [B, D]],    A* = -A, D* = -D
-  so*(2n)    complex 2n x 2n   [[A, -conj(B)], [B, conj(A)]], A^T = -A, B* = B
-  so(2, q)   real (q+2)^2      [[A, B^T], [B, D]],   A in so(2), D in so(q)
+    X* F + F X = 0
+
+for the family's form F, which is unitary (F^-1 = F*):
+
+  sp(l, R)   real 2l x 2l      F = J = [[0, -I], [I, 0]]
+  u(p, q)    complex (p+q)^2   F = G = diag(I_p, -I_q)
+  so*(2n)    complex 2n x 2n   F = iJ, together with X^T = -X
+  so(2, q)   real (q+2)^2      F = G = diag(I_2, -I_q)
+
+Each condition is the fixed-point set of a real-linear involution:
+X -> -F^-1 X* F for the form, X -> conj(X) for a real ambient, and
+X -> -X^T for so*(2n).  The membership residual and the real basis of
+every algebra come from its involutions (`fixed_residual`, `fixed_basis`).
+The Cartan involution is X -> -X* in all four models, so k is the
+skew-hermitian part and p the hermitian part of X.
 
 Each descriptor carries the compatible complex structure J_V on the defining
 representation (where one exists), the H-element z, and the chart p -> p+ that
-realizes the symmetric part as the family's complex model space.  Membership
-is always decided by the block equations above.
+realizes the symmetric part as the family's complex model space.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +32,31 @@ FAMILIES = ("sp", "u", "sostar", "so2q")
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraDescriptor:
+    """Equal, and equally hashed, exactly when (family, params) agree."""
+
     family: str
     params: tuple
     N: int                  # ambient matrix size
     base: str               # ambient scalar field tag: "R" or "C"
     r: int                  # split rank
     dim: int                # real dimension of the algebra
+    F: object               # the defining form, a unitary ndarray
+    antisymmetric: bool = False   # X^T = -X as well (so*)
     J_V: object = None      # ndarray or None (so(2,q) has no ambient J_V)
     G: object = None        # indefinite metric, where the model uses one
     z: object = None        # H-element
     pplus_shape: tuple = ()
+    pplus_dim: int = 0      # complex dimension of p+
+
+    def __eq__(self, other):
+        if not isinstance(other, LieAlgebraDescriptor):
+            return NotImplemented
+        return (self.family, self.params) == (other.family, other.params)
+
+    def __hash__(self):
+        return hash((self.family, self.params))
 
     def __repr__(self):
         return f"<{self.name()} descriptor>"
@@ -49,12 +72,6 @@ class LieAlgebraDescriptor:
 
 
 @dataclass(frozen=True)
-class LieElement:
-    desc: LieAlgebraDescriptor
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class PPlusElement:
     family: str
     value: np.ndarray       # symmetric lxl / q x p / antisymmetric n x n / vector in C^q
@@ -66,10 +83,10 @@ def make_algebra(family, params):
         (l,) = _ints(params, 1)
         if l < 1:
             raise ValueError("sp(l,R) needs l >= 1")
-        J = np.block([[np.zeros((l, l)), -np.eye(l)], [np.eye(l), np.zeros((l, l))]])
+        J = form_j(l)
         return LieAlgebraDescriptor(
-            family, (l,), 2 * l, "R", l, 2 * l * l + l,
-            J_V=J, z=0.5 * J, pplus_shape=(l, l))
+            family, (l,), 2 * l, "R", l, 2 * l * l + l, F=J,
+            J_V=J, z=0.5 * J, pplus_shape=(l, l), pplus_dim=l * (l + 1) // 2)
     if family == "u":
         p, q = _ints(params, 2)
         if p < 1 or q < 1:
@@ -77,17 +94,17 @@ def make_algebra(family, params):
         G = np.diag([1.0] * p + [-1.0] * q)
         J = 1j * G
         return LieAlgebraDescriptor(
-            family, (p, q), p + q, "C", min(p, q), (p + q) ** 2,
-            J_V=J, G=G, z=0.5 * J, pplus_shape=(q, p))
+            family, (p, q), p + q, "C", min(p, q), (p + q) ** 2, F=G,
+            J_V=J, G=G, z=0.5 * J, pplus_shape=(q, p), pplus_dim=p * q)
     if family == "sostar":
         (n,) = _ints(params, 1)
         if n < 1:
             raise ValueError("so*(2n) needs n >= 1")
-        Z = np.zeros((n, n))
-        J = np.block([[Z, -np.eye(n)], [np.eye(n), Z]]).astype(complex)
+        J = form_j(n).astype(complex)
         return LieAlgebraDescriptor(
-            family, (n,), 2 * n, "C", n // 2, n * (2 * n - 1),
-            J_V=J, z=0.5 * J, pplus_shape=(n, n))
+            family, (n,), 2 * n, "C", n // 2, n * (2 * n - 1), F=1j * J,
+            antisymmetric=True, J_V=J, z=0.5 * J, pplus_shape=(n, n),
+            pplus_dim=n * (n - 1) // 2)
     if family == "so2q":
         (q,) = _ints(params, 1)
         if q < 2:
@@ -96,8 +113,8 @@ def make_algebra(family, params):
         z = np.zeros((q + 2, q + 2))
         z[0, 1], z[1, 0] = 1.0, -1.0
         return LieAlgebraDescriptor(
-            family, (q,), q + 2, "R", 2, (q + 2) * (q + 1) // 2,
-            G=G, z=z, pplus_shape=(q,))
+            family, (q,), q + 2, "R", 2, (q + 2) * (q + 1) // 2, F=G,
+            G=G, z=z, pplus_shape=(q,), pplus_dim=q)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -108,87 +125,120 @@ def _ints(params, n):
     return t
 
 
-def _split_blocks(desc, M):
-    if desc.family == "sp":
-        l = desc.params[0]
-        return M[:l, :l], M[:l, l:], M[l:, :l], M[l:, l:]
-    if desc.family == "u":
-        p, q = desc.params
-        return M[:p, :p], M[:p, p:], M[p:, :p], M[p:, p:]
-    if desc.family == "sostar":
-        n = desc.params[0]
-        return M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
-    q = desc.params[0]
-    return M[:2, :2], M[:2, 2:], M[2:, :2], M[2:, 2:]
+def form_j(n):
+    """J = [[0, -I], [I, 0]] of size 2n."""
+    Z, I = np.zeros((n, n)), np.eye(n)
+    return np.block([[Z, -I], [I, Z]])
+
+
+# --- fixed points of involutions --------------------------------------------
+#
+# A matrix space cut out by forms is the common fixed-point set of a few
+# commuting real-linear involutions of the ambient matrices.  The routines
+# below take such a tuple of involutions; `conj` among them marks a real
+# ambient.
+
+def conj(X):
+    """X -> conj(X): its fixed points are the real matrices."""
+    return X.conj()
+
+
+def neg_transpose(X):
+    """X -> -X^T: its fixed points are the antisymmetric matrices."""
+    return -X.T
+
+
+def form_involution(F):
+    """X -> -F^-1 X* F for a unitary F: its fixed points solve X* F + F X = 0."""
+    Fh = F.conj().T
+    return lambda X: -(Fh @ X.conj().T @ F)
+
+
+def quaternionic_involution(J_left, J_right):
+    """X -> J_left conj(X) J_right^T: its fixed points are the quaternionic
+    matrices in the complex representation [[A, -conj(B)], [B, conj(A)]]."""
+    return lambda X: J_left @ X.conj() @ J_right.T
+
+
+def fixed_residual(invs, X):
+    """Largest entry of X - theta(X) over the involutions theta (NaN stays NaN)."""
+    X = np.asarray(X)
+    return float(np.max([np.abs(X - th(X)).max(initial=0.0) for th in invs],
+                        initial=0.0))
+
+
+def fixed_basis(invs, shape):
+    """Real basis of the common fixed space of commuting involutions.
+
+    The independent averages of the ambient matrix units over the
+    involutions, in row-major order of the units, each scaled to largest
+    entry 1 so that every entry is exact.  Returned as a read-only
+    (dim,) + shape stack, real when `conj` is among the involutions.
+    """
+    real = conj in invs
+    units = (1.0,) if real else (1.0, 1j)
+    out, Q = [], np.zeros((0, 2 * int(np.prod(shape))))
+    for idx in np.ndindex(*shape):
+        for unit in units:
+            E = np.zeros(shape, dtype=complex)
+            E[idx] = unit
+            for th in invs:
+                E = (E + th(E)) / 2
+            v = np.concatenate([E.real.ravel(), E.imag.ravel()])
+            v = v - Q.T @ (Q @ v)
+            nrm = np.linalg.norm(v)
+            if nrm > 1e-9:
+                Q = np.vstack([Q, v / nrm])
+                out.append(E / np.abs(E).max())
+    B = np.array(out, dtype=complex).reshape((len(out),) + tuple(shape))
+    if real:
+        B = np.ascontiguousarray(B.real)
+    B.flags.writeable = False
+    return B
+
+
+def involutions(desc):
+    """The involutions whose common fixed points are the algebra."""
+    invs = (form_involution(desc.F),)
+    if desc.base == "R":
+        invs += (conj,)
+    if desc.antisymmetric:
+        invs += (neg_transpose,)
+    return invs
 
 
 def membership_residual(desc, M):
-    """Max violation of the family's defining block equations."""
+    """Largest entry of M - theta(M) over the algebra's involutions."""
     M = np.asarray(M)
     if M.shape != (desc.N, desc.N):
         raise ValueError(f"expected {desc.N} x {desc.N} matrix, got {M.shape}")
-    imag_part = 0.0
-    if desc.base == "R" and np.iscomplexobj(M):
-        imag_part = np.abs(M.imag).max()
-        M = M.real
-    TL, TR, BL, BR = _split_blocks(desc, M)
-    if imag_part > 0:
-        return max(imag_part, membership_residual(desc, M))
-    if desc.family == "sp":
-        return max(np.abs(BR + TL.T).max(), np.abs(TR - TR.T).max(),
-                   np.abs(BL - BL.T).max())
-    if desc.family == "u":
-        return max(np.abs(TL + TL.conj().T).max(), np.abs(BR + BR.conj().T).max(),
-                   np.abs(TR - BL.conj().T).max())
-    if desc.family == "sostar":
-        return max(np.abs(TL + TL.T).max(), np.abs(TR + BL.conj()).max(),
-                   np.abs(BR - TL.conj()).max(), np.abs(BL - BL.conj().T).max())
-    return max(np.abs(TL + TL.T).max(), np.abs(BR + BR.T).max(),
-               np.abs(TR - BL.T).max())
+    return fixed_residual(involutions(desc), M)
 
 
 def contains(desc, M, tol=DEFAULT_TOL):
-    """True iff M satisfies the block equations to tolerance."""
+    """True iff M solves the defining equations to tolerance (False on NaN)."""
     M = np.asarray(M)
     scale = max(1.0, np.abs(M).max())
     return membership_residual(desc, M) <= tol * scale
 
 
 def _require_member(desc, M, tol=1e-8):
+    M = np.asarray(M)
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"matrix has non-finite entries; not an element of {desc.name()}")
     if not contains(desc, M, tol):
         raise ValueError(f"matrix is not in {desc.name()} "
-                         f"(block residual {membership_residual(desc, M):.3e})")
+                         f"(residual {membership_residual(desc, M):.3e})")
 
 
 def cartan_split(desc, X, check=True):
-    """(x_k, x_p) with x_k + x_p = X, x_k in k, x_p in p."""
+    """(x_k, x_p) with x_k + x_p = X: the skew-hermitian part lies in k, the
+    hermitian part in p, since the Cartan involution is X -> -X*."""
     X = np.asarray(X)
     if check:
         _require_member(desc, X)
-    if desc.base == "C":
-        X = X.astype(complex)
-    else:
-        X = X.real.astype(float) if np.iscomplexobj(X) else X.astype(float)
-    TL, TR, BL, BR = _split_blocks(desc, X)
-    if desc.family == "sp":
-        Ak, Bk = (TL - TL.T) / 2, (TR - BL) / 2
-        Ap, Bp = (TL + TL.T) / 2, (TR + BL) / 2
-        Xk = np.block([[Ak, Bk], [-Bk, Ak]])
-        Xp = np.block([[Ap, Bp], [Bp, -Ap]])
-        return Xk, Xp
-    if desc.family == "u":
-        Xk = np.zeros_like(X)
-        p = desc.params[0]
-        Xk[:p, :p], Xk[p:, p:] = TL, BR
-        return Xk, X - Xk
-    if desc.family == "sostar":
-        Ak, Bk = TL.real, BL.real
-        Ap, Bp = 1j * TL.imag, 1j * BL.imag
-        Xk = np.block([[Ak, -Bk], [Bk, Ak]]).astype(complex)
-        Xp = np.block([[Ap, Bp], [Bp, -Ap]])
-        return Xk, Xp
-    Xk = np.zeros_like(X)
-    Xk[:2, :2], Xk[2:, 2:] = TL, BR
+    X = X.astype(complex) if desc.base == "C" else np.real(X).astype(float)
+    Xk = (X - X.conj().T) / 2
     return Xk, X - Xk
 
 
@@ -335,108 +385,30 @@ def pplus_unflatten(desc, coords):
 
 
 def pplus_dim(desc):
-    if desc.family == "sp":
-        l = desc.params[0]
-        return l * (l + 1) // 2
-    if desc.family == "u":
-        p, q = desc.params
-        return p * q
-    if desc.family == "sostar":
-        n = desc.params[0]
-        return n * (n - 1) // 2
-    return desc.params[0]
+    """Complex dimension of p+ (the descriptor's pplus_dim field)."""
+    return desc.pplus_dim
 
 
-# --- real bases -------------------------------------------------------------
+# --- real bases and random elements -------------------------------------------
+
+_BASES = {}
+
 
 def basis(desc):
-    """An ordered real basis of the algebra as a list of ambient matrices."""
-    out = []
-    if desc.family == "sp":
-        l = desc.params[0]
-        Z = np.zeros((l, l))
-        for i in range(l):
-            for j in range(l):
-                A = np.zeros((l, l))
-                A[i, j] = 1.0
-                out.append(np.block([[A, Z], [Z, -A.T]]))
-        for i in range(l):
-            for j in range(i, l):
-                S = np.zeros((l, l))
-                S[i, j] = S[j, i] = 1.0
-                out.append(np.block([[Z, S], [Z, Z]]))
-        for i in range(l):
-            for j in range(i, l):
-                S = np.zeros((l, l))
-                S[i, j] = S[j, i] = 1.0
-                out.append(np.block([[Z, Z], [S, Z]]))
-    elif desc.family == "u":
-        p, q = desc.params
-        n = p + q
-        for (lo, hi) in ((0, p), (p, n)):
-            for i in range(lo, hi):
-                M = np.zeros((n, n), dtype=complex)
-                M[i, i] = 1j
-                out.append(M)
-            for i in range(lo, hi):
-                for j in range(i + 1, hi):
-                    M = np.zeros((n, n), dtype=complex)
-                    M[i, j], M[j, i] = 1.0, -1.0
-                    out.append(M)
-                    M = np.zeros((n, n), dtype=complex)
-                    M[i, j] = M[j, i] = 1j
-                    out.append(M)
-        for i in range(p, n):
-            for j in range(p):
-                for v in (1.0, 1j):
-                    M = np.zeros((n, n), dtype=complex)
-                    M[i, j] = v
-                    M[j, i] = np.conj(v)
-                    out.append(M)
-    elif desc.family == "sostar":
-        n = desc.params[0]
-        Z = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                A = np.zeros((n, n))
-                A[i, j], A[j, i] = 1.0, -1.0
-                out.append(np.block([[A, Z], [Z, A]]).astype(complex))
-                out.append(np.block([[1j * A, Z], [Z, -1j * A]]))
-        for i in range(n):
-            for j in range(i, n):
-                S = np.zeros((n, n))
-                S[i, j] = S[j, i] = 1.0
-                out.append(np.block([[Z, -S], [S, Z]]).astype(complex))
-                if i != j:
-                    A = np.zeros((n, n))
-                    A[i, j], A[j, i] = 1.0, -1.0
-                    out.append(np.block([[Z, 1j * A], [1j * A, Z]]))
-    else:
-        q = desc.params[0]
-        n = q + 2
-        M = np.zeros((n, n))
-        M[0, 1], M[1, 0] = 1.0, -1.0
-        out.append(M)
-        for i in range(2, n):
-            for j in range(i + 1, n):
-                M = np.zeros((n, n))
-                M[i, j], M[j, i] = 1.0, -1.0
-                out.append(M)
-        for i in range(2, n):
-            for j in range(2):
-                M = np.zeros((n, n))
-                M[i, j] = M[j, i] = 1.0
-                out.append(M)
-    assert len(out) == desc.dim
-    return out
+    """The algebra's real basis as a read-only (dim, N, N) stack, built once
+    per (family, params)."""
+    key = (desc.family, desc.params)
+    B = _BASES.get(key)
+    if B is None:
+        B = _BASES[key] = fixed_basis(involutions(desc), (desc.N, desc.N))
+        assert len(B) == desc.dim
+    return B
 
 
 def random_element(desc, rng, scale=1.0):
     """Random algebra element with independent N(0, scale^2) basis coefficients."""
     B = basis(desc)
-    c = rng.standard_normal(len(B)) * scale
-    M = sum(ci * Bi for ci, Bi in zip(c, B))
-    return M
+    return np.tensordot(rng.standard_normal(len(B)) * scale, B, 1)
 
 
 def frobenius(M):

@@ -67,8 +67,7 @@ class PoissonContext:
         return x
 
     def from_coordinates(self, x):
-        M = sum(xi * b for xi, b in zip(np.asarray(x), self.basis))
-        return M
+        return np.tensordot(np.asarray(x), self.basis, 1)
 
     def jacobi_residual(self):
         c = self.structure
@@ -76,11 +75,6 @@ class PoissonContext:
         t1 = np.einsum("abe,ecd->abcd", c, c)
         return float(np.abs(t1 + np.einsum("abcd->bcad", t1)
                             + np.einsum("abcd->cabd", t1)).max())
-
-    def dual_of_functional(self, values_on_basis):
-        """Element representing the functional with the given basis values."""
-        coeff = np.linalg.solve(self.pairing, np.asarray(values_on_basis))
-        return coeff
 
     def pplus_duals(self):
         """(coeffs, matrices) for the p+ coordinates zeta_1..zeta_d.
@@ -95,8 +89,7 @@ class PoissonContext:
                 w = to_p_plus(self.desc, proj_p(self.desc, b_a, check=False))
                 F[:, a] = pplus_coords(self.desc, w)
             coeffs = np.linalg.solve(self.pairing, F.T).T
-            mats = [sum(cj * b for cj, b in zip(row, self.basis)).astype(complex)
-                    for row in coeffs]
+            mats = np.tensordot(coeffs, self.basis, 1)
             self._pplus = (coeffs, mats)
         return self._pplus
 
@@ -128,8 +121,7 @@ def pplus_bracket_matrix(ctx, xi):
     an abelian eigenspace of ad_z, which is the polarization statement.
     """
     coeffs, mats = ctx.pplus_duals()
-    bars = [sum(np.conj(cj) * b for cj, b in zip(row, ctx.basis)).astype(complex)
-            for row in coeffs]
+    bars = np.tensordot(coeffs.conj(), ctx.basis, 1)
     d = len(mats)
     B1 = np.zeros((d, d), dtype=complex)
     B2 = np.zeros((d, d), dtype=complex)
@@ -238,8 +230,7 @@ def poly_bracket(ctx, f, g, xi):
     L[d:, :d] = -B2.T
     # {conj zeta_j, conj zeta_k} = conj({zeta_k, zeta_j} at conj-dual): compute direct
     coeffs, _ = ctx.pplus_duals()
-    bars = [sum(np.conj(cj) * b for cj, b in zip(row, ctx.basis)).astype(complex)
-            for row in coeffs]
+    bars = np.tensordot(coeffs.conj(), ctx.basis, 1)
     for j in range(d):
         for k in range(d):
             L[d + j, d + k] = np.trace(

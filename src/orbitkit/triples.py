@@ -120,7 +120,6 @@ def standard_triples(desc):
     if fam == "sostar":
         n = desc.params[0]
         l = n // 2
-        sp_desc = make_algebra("sp", max(l, 1))
         out = []
         for k in range(l):
             e, f, h = sp_triple_parts(l, k)

@@ -60,6 +60,15 @@ def test_non_member_rejected():
         classify_nilpotent(make_algebra("sp", 2), np.eye(4))
 
 
+def test_non_finite_input_rejected():
+    sp2 = make_algebra("sp", 2)
+    X = orbit_rep(sp2, 1, 0)
+    X[0, 1] = np.nan
+    assert not contains(sp2, X)
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_nilpotent(sp2, X)
+
+
 def test_non_nilpotent_is_not_pseudoholomorphic():
     for desc in ALL:
         assert classify_nilpotent(desc, desc.z) is NOT_PSEUDOHOLOMORPHIC

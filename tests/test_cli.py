@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_reduce_histogram(capsys):
                    "--ssecond", "0", "--target", "3", "--samples", "60",
                    "--seed", "7")
     assert again == out
+
+
+# (case, s', target); each committed file is the stdout of
+#   orbitkit reduce --case CASE --sprime S --target T --samples 200 --seed 7
+GOLDEN_REDUCE = (("o-sp", "3", "3"), ("u-u", "2", "2,2"),
+                 ("sp-sostar", "2", "4"), ("sp-so2q", "1", "4"))
+
+
+@pytest.mark.parametrize("case,sprime,target", GOLDEN_REDUCE,
+                         ids=[g[0] for g in GOLDEN_REDUCE])
+def test_reduce_matches_golden_histogram(capsys, case, sprime, target):
+    code, out = run(capsys, "reduce", "--case", case, "--sprime", sprime,
+                    "--target", target, "--samples", "200", "--seed", "7")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"reduce-{case}.json"
+    assert out.encode() == golden.read_bytes()
 
 
 def test_bracket_polarization_output(tmp_path, capsys):

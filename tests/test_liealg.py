@@ -35,6 +35,18 @@ def test_descriptor_numbers():
     assert (lambda d: (d.N, d.r, d.dim))(make_algebra("so2q", 6)) == (8, 2, 28)
 
 
+def test_descriptors_compare_by_family_and_params():
+    a, b = make_algebra("sp", 3), make_algebra("sp", (3,))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_algebra("sp", 2) and a != make_algebra("so2q", 3)
+    assert len({a, b, make_algebra("u", (2, 1))}) == 2
+    B = basis(a)
+    assert basis(b) is B
+    assert B.shape == (a.dim, a.N, a.N) and not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 0, 0] = 1.0
+
+
 def test_bad_params_rejected():
     with pytest.raises(ValueError):
         make_algebra("sp", 0)
@@ -86,6 +98,19 @@ def test_membership_violations_detected():
     assert not contains(sp2, M)
     u11 = make_algebra("u", (1, 1))
     assert not contains(u11, np.array([[1.0, 0.0], [0.0, -1.0]]))  # A* != -A
+    so4 = make_algebra("sostar", 2)
+    M = np.zeros((4, 4), dtype=complex)
+    M[0, 1], M[1, 0] = 1.0, -1.0       # antisymmetric, but not quaternionic
+    assert not contains(so4, M)
+    M[2, 3], M[3, 2] = 1.0, -1.0       # the conj(A) block completes it
+    assert contains(so4, M)
+    assert not contains(so4, np.diag([1j, 1j, -1j, -1j]))    # quaternionic, symmetric
+    so23 = make_algebra("so2q", 3)
+    M = np.zeros((5, 5))
+    M[0, 1] = M[1, 0] = 1.0            # symmetric inside the compact so(2) block
+    assert not contains(so23, M)
+    M[0, 1] = -1.0
+    assert contains(so23, M)
     # complex dust on a real family is a violation, not noise to strip
     assert not contains(sp2, np.eye(4, dtype=complex) * 1e-3 * 1j +
                         random_element(sp2, np.random.default_rng(0)))

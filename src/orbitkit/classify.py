@@ -54,8 +54,15 @@ def k_rank(desc, X, tol=1e-8):
     return rank
 
 
+def _require_tol(tol):
+    if not (np.isfinite(tol) and tol >= np.finfo(float).eps):
+        raise ValueError(f"tolerance {tol!r} must be finite and at least machine epsilon")
+
+
 def classify_nilpotent(desc, X, tol=1e-8):
-    """OrbitType (t, u) of X, or NOT_PSEUDOHOLOMORPHIC."""
+    """OrbitType (t, u) of X, or NOT_PSEUDOHOLOMORPHIC; ArithmeticError when
+    the cut at tol gives a type with t + u > r."""
+    _require_tol(tol)
     X = np.asarray(X)
     _require_member(desc, X, tol)
     if desc.family == "so2q":
@@ -66,7 +73,11 @@ def classify_nilpotent(desc, X, tol=1e-8):
     if frobenius(X @ X) > tol * scale * scale:
         return NOT_PSEUDOHOLOMORPHIC
     _, rank, sig = b_x_form(desc, X, tol)
-    return OrbitType((rank + sig) // 2, (rank - sig) // 2)
+    res = OrbitType((rank + sig) // 2, (rank - sig) // 2)
+    if res.t + res.u > desc.r:
+        raise ArithmeticError(f"type {tuple(res)} exceeds rank r = {desc.r} of "
+                              f"{desc.name()} at tol={tol!r}; tolerance too tight")
+    return res
 
 
 def is_holomorphic(desc, X, tol=1e-8):
@@ -155,6 +166,7 @@ def in_closure(desc, X, s, tol=1e-8):
     so(2,q) instead checks rank class, the matching power vanishing, and that
     the discriminant lands on the holomorphic side; the report is flagged.
     """
+    _require_tol(tol)
     X = np.asarray(X)
     _require_member(desc, X, tol)
     s = int(s)

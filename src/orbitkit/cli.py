@@ -18,8 +18,8 @@ import numpy as np
 from . import dualpair as dp
 from . import jordan as jd
 from .classify import (
-    OrbitType, admissible_types, classify_nilpotent, in_closure,
-    random_conjugate,
+    NOT_PSEUDOHOLOMORPHIC, OrbitType, admissible_types, classify_nilpotent,
+    in_closure, random_conjugate,
 )
 from .divalg import DAMatrix
 from .liealg import (
@@ -520,6 +520,7 @@ def cmd_reduce(args):
     cfg = dp.make_dual_pair(args.case, args.sprime, args.ssecond, params)
     n = args.samples or 500
     hist = dp.reduce_and_classify(cfg, n, seed=args.seed)
+    unclassified = hist.pop(NOT_PSEUDOHOLOMORPHIC, 0)
     out = {
         "case": cfg.case,
         "sprime": cfg.sprime,
@@ -529,6 +530,8 @@ def cmd_reduce(args):
         "seed": args.seed,
         "histogram": {f"{t},{u}": c for (t, u), c in sorted(hist.items())},
     }
+    if unclassified:
+        out["unclassified"] = unclassified
     dump(out, args.output)
     return 0
 

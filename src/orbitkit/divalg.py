@@ -2,10 +2,15 @@
 octonions OC, and small matrices over R/C/H with a faithful complex
 representation of quaternionic matrices.
 
-Scalars are coefficient vectors over a fixed basis e_0..e_{d-1}; products use
-Cayley-Dickson doubling with the convention
+Scalars are coefficient vectors over a fixed basis e_0..e_{d-1}.  The
+multiplication table MUL[d] (e_i e_j = sum_k MUL[d][i,j,k] e_k) is built once
+at import by Cayley-Dickson doubling with the convention
 
-    (a, b) (c, d) = (a c - conj(d) b,  d a + b conj(c)).
+    (a, b) (c, d) = (a c - conj(d) b,  d a + b conj(c)),
+
+each of the four terms being a signed block of the half-size table.  A
+product of any two coefficient arrays is then one contraction against the
+table, broadcast over the leading axes.
 
 The OC elements carry complex coefficients; conjugation flips the sign of
 e_1..e_7 only (it is extended C-linearly), so n(a) may be a non-real complex
@@ -26,33 +31,34 @@ def cd_conj(x):
     return y
 
 
+def _double(t):
+    """Table of the doubled algebra from the table t of the half."""
+    h = len(t)
+    tt = np.swapaxes(t, 0, 1)
+    sign = cd_conj(np.ones(h))[:, None]       # conj(e_j) = sign_j e_j, on axis 1
+    m = np.zeros((2 * h,) * 3)
+    m[:h, :h, :h], m[h:, h:, :h] = t, -tt * sign        # a c, -conj(d) b
+    m[:h, h:, h:], m[h:, :h, h:] = tt, t * sign         # d a, b conj(c)
+    return m
+
+
+# e_i e_j = sum_k MUL[d][i,j,k] e_k, shared by every tag of that dimension
+MUL = {1: np.ones((1, 1, 1))}
+for _d in (2, 4, 8):
+    MUL[_d] = _double(MUL[_d // 2])
+
+
 def cd_mul(x, y):
-    """Coefficient-space product of two arrays whose last axis is a 2^k basis."""
+    """Coefficient-space product of two arrays whose last axis is a basis of
+    R, C, H or O; the leading axes broadcast."""
     x = np.asarray(x)
     y = np.asarray(y)
     n = x.shape[-1]
     if n != y.shape[-1]:
         raise ValueError("operands live in different algebras")
-    if n == 1:
-        return x * y
-    h = n // 2
-    a, b = x[..., :h], x[..., h:]
-    c, d = y[..., :h], y[..., h:]
-    lo = cd_mul(a, c) - cd_mul(cd_conj(d), b)
-    hi = cd_mul(d, a) + cd_mul(b, cd_conj(c))
-    return np.concatenate([lo, hi], axis=-1)
-
-
-def _mul_tensor(dim, dtype=float):
-    basis = np.eye(dim, dtype=dtype)
-    t = np.empty((dim, dim, dim), dtype=dtype)
-    for i in range(dim):
-        for j in range(dim):
-            t[i, j] = cd_mul(basis[i], basis[j])
-    return t
-
-# e_i e_j = sum_k MUL[d][i,j,k] e_k, shared by every tag of that dimension
-MUL = {d: _mul_tensor(d) for d in (1, 2, 4, 8)}
+    if n not in MUL:
+        raise ValueError(f"no algebra of dimension {n} in the tower R < C < H < O")
+    return np.einsum("...i,...j,ijk->...k", x, y, MUL[n])
 
 
 class AlgebraElement:
@@ -200,8 +206,7 @@ class DAMatrix:
         self._check(other)
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        t = MUL[_DIM[self.tag]]
-        prod = np.einsum("abi,bcj,ijk->ack", self.data, other.data, t)
+        prod = cd_mul(self.data[:, :, None], other.data[None]).sum(axis=1)
         return DAMatrix(self.tag, prod)
 
     def scale(self, r):

@@ -31,6 +31,10 @@ import numpy as np
 from .divalg import cd_conj, cd_mul
 
 _FIELDS = ("R", "C")
+_DIAG = np.arange(3)
+# cyclic successors of 0, 1, 2: a_i sits at grid slot (i+1, i+2) mod 3 and
+# its conjugate at the transposed slot
+_NXT, _PRV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 class AlbertElement:
@@ -86,21 +90,17 @@ class AlbertElement:
         """The full (3, 3, 8) coefficient array of the hermitian matrix."""
         dtype = complex if self.field == "C" else float
         M = np.zeros((3, 3, 8), dtype=dtype)
-        for i in range(3):
-            M[i, i, 0] = self.alpha[i]
-        M[1, 2], M[2, 0], M[0, 1] = self.a
-        M[2, 1], M[0, 2], M[1, 0] = (cd_conj(x) for x in self.a)
+        M[_DIAG, _DIAG, 0] = self.alpha
+        M[_NXT, _PRV] = self.a
+        M[_PRV, _NXT] = cd_conj(self.a)
         return M
 
     @classmethod
     def from_grid(cls, field, M, tol=1e-10):
         scale = max(1.0, float(np.max(np.abs(M))))
-        for i in range(3):
-            for j in range(3):
-                if np.max(np.abs(M[i, j] - cd_conj(M[j, i]))) > tol * scale:
-                    raise ValueError("coefficient grid is not hermitian")
-        alpha = np.array([M[0, 0, 0], M[1, 1, 0], M[2, 2, 0]])
-        return cls(field, alpha, np.stack([M[1, 2], M[2, 0], M[0, 1]]))
+        if np.max(np.abs(M - cd_conj(np.swapaxes(M, 0, 1)))) > tol * scale:
+            raise ValueError("coefficient grid is not hermitian")
+        return cls(field, M[_DIAG, _DIAG, 0], M[_NXT, _PRV])
 
     def to_json(self):
         # scalar encodings: R -> number, C -> [re, im], O -> [8], OC -> [[8], [8]]
@@ -133,14 +133,7 @@ class AlbertElement:
 
 
 def _grid_mul(M, N):
-    out = np.zeros_like(M)
-    for i in range(3):
-        for j in range(3):
-            acc = np.zeros(8, dtype=M.dtype)
-            for k in range(3):
-                acc = acc + cd_mul(M[i, k], N[k, j])
-            out[i, j] = acc
-    return out
+    return cd_mul(M[:, :, None], N[None]).sum(axis=1)
 
 
 def jordan_product(x, y):
@@ -155,7 +148,7 @@ def generic_norm(A):
     """The cubic form nu; Freudenthal's formal determinant."""
     a1, a2, a3 = A.a
     t = cd_mul(cd_mul(a3, a1), a2)[0] * 2
-    n = [cd_mul(x, cd_conj(x))[0] for x in A.a]
+    n = cd_mul(A.a, cd_conj(A.a))[:, 0]
     val = (A.alpha[0] * A.alpha[1] * A.alpha[2] + t
            - A.alpha[0] * n[0] - A.alpha[1] * n[1] - A.alpha[2] * n[2])
     return complex(val) if A.field == "C" else float(val)
@@ -164,15 +157,9 @@ def generic_norm(A):
 def freudenthal_adjoint(A):
     """A#: diagonal alpha_2 alpha_3 - n(a_1) (cyclic), off-diagonal
     conj(a_2 a_3) - alpha_1 a_1 (cyclic); A o A# = nu(A) I."""
-    al = A.alpha
-    a1, a2, a3 = A.a
-    n = [cd_mul(x, cd_conj(x))[0] for x in A.a]
-    beta = np.array([al[1] * al[2] - n[0],
-                     al[2] * al[0] - n[1],
-                     al[0] * al[1] - n[2]])
-    b = np.stack([cd_conj(cd_mul(a2, a3)) - al[0] * a1,
-                  cd_conj(cd_mul(a3, a1)) - al[1] * a2,
-                  cd_conj(cd_mul(a1, a2)) - al[2] * a3])
+    al, a = A.alpha, A.a
+    beta = al[_NXT] * al[_PRV] - cd_mul(a, cd_conj(a))[:, 0]
+    b = cd_conj(cd_mul(a[_NXT], a[_PRV])) - al[:, None] * a     # a2 a3, a3 a1, a1 a2
     return AlbertElement(A.field, beta, b)
 
 

@@ -29,10 +29,10 @@ def half_trace(X, Y):
 
 
 def _flatten(M):
+    """Real and imaginary parts of the trailing N x N axes as one real vector."""
     M = np.asarray(M)
-    if np.iscomplexobj(M):
-        return np.concatenate([M.real.ravel(), M.imag.ravel()])
-    return np.concatenate([M.ravel(), np.zeros(M.size)])
+    flat = M.reshape(M.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 class PoissonContext:
@@ -42,22 +42,14 @@ class PoissonContext:
         self.desc = desc
         self.basis = basis(desc)
         self.dim = len(self.basis)
-        flat = np.stack([_flatten(b) for b in self.basis])   # dim x 2N^2
-        self._coord_solver = np.linalg.pinv(flat.T)
-        P = np.empty((self.dim, self.dim))
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                v = np.trace(self.basis[a] @ self.basis[b]) / 2
-                assert abs(np.imag(v)) <= 1e-12
-                P[a, b] = P[b, a] = np.real(v)
-        self.pairing = P
-        c = np.zeros((self.dim, self.dim, self.dim))
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                w = self.coordinates(self.basis[a] @ self.basis[b]
-                                     - self.basis[b] @ self.basis[a])
-                c[a, b] = w
-                c[b, a] = -w
+        B = self.basis
+        self._coord_solver = np.linalg.pinv(_flatten(B).T)     # dim x 2N^2
+        P = np.einsum("aij,bji->ab", B, B) / 2
+        assert np.abs(np.imag(P)).max() <= 1e-12
+        self.pairing = np.real(P)
+        c = np.empty((self.dim,) * 3)
+        for a, b_a in enumerate(B):     # one row at a time: all of [b_a, b_b] is dim^2 N^2
+            c[a] = _flatten(b_a @ B - B @ b_a) @ self._coord_solver.T
         self.structure = c
         self._pplus = None
 

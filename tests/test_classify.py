@@ -6,6 +6,7 @@ from orbitkit.classify import (
     in_closure, is_holomorphic, k_rank, pplus_closure_report, random_conjugate,
     semisimple_orbit_check,
 )
+from orbitkit.dualpair import make_dual_pair, mu_g, sample_zero_level
 from orbitkit.liealg import contains, make_algebra, pplus_unflatten
 from orbitkit.triples import ks_element, orbit_rep
 
@@ -67,6 +68,28 @@ def test_non_finite_input_rejected():
     assert not contains(sp2, X)
     with pytest.raises(ValueError, match="non-finite"):
         classify_nilpotent(sp2, X)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-17, np.finfo(float).eps / 2, -1e-8,
+                                 np.nan, np.inf])
+def test_tolerance_below_machine_precision_rejected(tol):
+    sp2 = make_algebra("sp", 2)
+    X = orbit_rep(sp2, 1, 0)
+    with pytest.raises(ValueError, match="tolerance"):
+        classify_nilpotent(sp2, X, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        in_closure(sp2, X, 1, tol=tol)
+    assert classify_nilpotent(sp2, X, tol=np.finfo(float).eps) == (1, 0)
+
+
+def test_type_beyond_rank_raises():
+    # just above machine epsilon the signature cut counts rounding noise
+    # as eigenvalues: without the check this sample set yields (3,1) and
+    # (4,0) on sp(3,R), whose rank is 3
+    cfg = make_dual_pair("o-sp", 3, 0, (3,))
+    with pytest.raises(ArithmeticError, match=r"r = 3 .*tol=2\.3e-16"):
+        for alpha in sample_zero_level(cfg, 200, seed=1):
+            classify_nilpotent(cfg.target, mu_g(cfg, alpha), tol=2.3e-16)
 
 
 def test_non_nilpotent_is_not_pseudoholomorphic():

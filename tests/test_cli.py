@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitkit import cli
+from orbitkit import cli, dualpair
+from orbitkit.classify import NOT_PSEUDOHOLOMORPHIC
 from orbitkit.cli import main, run_verify_suite
 
 
@@ -91,6 +92,27 @@ def test_reduce_matches_golden_histogram(capsys, case, sprime, target):
     assert code == 0
     golden = Path(__file__).parent / "golden" / f"reduce-{case}.json"
     assert out.encode() == golden.read_bytes()
+
+
+def test_reduce_reports_unclassified_samples(monkeypatch, capsys):
+    argv = ("reduce", "--case", "o-sp", "--sprime", "2", "--ssecond", "0",
+            "--target", "3", "--samples", "20", "--seed", "7")
+    _, clean = run(capsys, *argv)
+    assert "unclassified" not in json.loads(clean)
+    calls = []
+    real = dualpair.classify_nilpotent
+
+    def fails_on_fifth(desc, X, tol=1e-8):
+        calls.append(1)
+        return NOT_PSEUDOHOLOMORPHIC if len(calls) == 5 else real(desc, X, tol=tol)
+
+    monkeypatch.setattr(dualpair, "classify_nilpotent", fails_on_fifth)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    got = json.loads(out)
+    assert got["unclassified"] == 1
+    assert sum(got["histogram"].values()) == 19
+    assert list(got)[:-1] == list(json.loads(clean))
 
 
 def test_bracket_polarization_output(tmp_path, capsys):

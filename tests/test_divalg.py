@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit.divalg import (
-    AlgebraElement, DAMatrix, as_complex, cd_conj, cd_mul, complex_rep,
+    MUL, AlgebraElement, DAMatrix, as_complex, cd_conj, cd_mul, complex_rep,
     complex_unrep, da_conj_norm_trace, da_mul, quat_join, quat_split,
 )
+from orbitkit.jordan import AlbertElement
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -130,6 +131,88 @@ def test_scalar_json_round_trip():
         x = rand_elem(rng, tag)
         y = AlgebraElement.from_json(tag, x.to_json())
         assert np.allclose(x.coeffs, y.coeffs)
+
+
+# --- the multiplication table ----------------------------------------------
+
+def doubling_product(x, y):
+    """(a, b)(c, d) = (ac - conj(d) b, da + b conj(c)), by plain recursion."""
+    n = len(x)
+    if n == 1:
+        return x * y
+    h = n // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    conj = lambda z: np.concatenate([z[:1], -z[1:]])
+    return np.concatenate([doubling_product(a, c) - doubling_product(conj(d), b),
+                           doubling_product(d, a) + doubling_product(b, conj(c))])
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_table_matches_doubling_formula(d):
+    e = np.eye(d)
+    for i in range(d):
+        for j in range(d):
+            assert np.array_equal(MUL[d][i, j], doubling_product(e[i], e[j]))
+
+
+def test_octonion_table_is_signed_permutation():
+    T = MUL[8]
+    assert np.array_equal(np.abs(T).sum(axis=2), np.ones((8, 8)))
+    assert set(np.unique(T)) == {-1.0, 0.0, 1.0}
+    for i in range(8):
+        # left and right multiplication by e_i permute the basis up to sign
+        assert np.array_equal(np.abs(T[i]).sum(axis=0), np.ones(8))
+        assert np.array_equal(np.abs(T[:, i]).sum(axis=0), np.ones(8))
+    assert np.array_equal(T[0], np.eye(8)) and np.array_equal(T[:, 0], np.eye(8))
+    for i in range(1, 8):
+        assert np.array_equal(T[i, i], -np.eye(8)[0])
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True], ids=["O", "OC"])
+def test_stacked_and_broadcast_products_match_row_by_row(complex_coeffs):
+    rng = np.random.default_rng(37)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_coeffs else z
+
+    x, y = draw(5, 8), draw(5, 8)
+    got = cd_mul(x, y)
+    assert got.shape == (5, 8)
+    for k in range(5):
+        assert np.allclose(got[k], doubling_product(x[k], y[k]), rtol=1e-14, atol=1e-14)
+    u, v = draw(3, 1, 8), draw(1, 3, 8)
+    got = cd_mul(u, v)
+    assert got.shape == (3, 3, 8)
+    for i in range(3):
+        for j in range(3):
+            assert np.allclose(got[i, j], doubling_product(u[i, 0], v[0, j]),
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_product_outside_the_tower_rejected():
+    with pytest.raises(ValueError, match="dimension 16"):
+        cd_mul(np.ones(16), np.ones(16))
+    with pytest.raises(ValueError):
+        cd_mul(np.ones(8), np.ones(4))
+
+
+def test_albert_from_grid_rejects_each_non_hermitian_slot():
+    rng = np.random.default_rng(41)
+    A = AlbertElement("C", rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                      rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+    M = A.grid()
+    assert np.array_equal(M[1, 2], A.a[0]) and np.array_equal(M[2, 1], cd_conj(A.a[0]))
+    for i in range(3):
+        for j in range(3):
+            for k in (0, 5):
+                bad = M.copy()
+                bad[i, j, k] += 1e-3
+                if i == j and k == 0:
+                    AlbertElement.from_grid("C", bad)   # a diagonal scalar may change
+                    continue
+                with pytest.raises(ValueError, match="not hermitian"):
+                    AlbertElement.from_grid("C", bad)
 
 
 # --- matrices -------------------------------------------------------------

@@ -479,13 +479,13 @@ def cmd_classify(args):
     desc, M = load_element(args.input, args.family, _parse_params(args.params))
     # rank/signature thresholds default to 1e-8 of the largest magnitude
     tol = args.tolerance if args.tolerance is not None else 1e-8
-    res = classify_nilpotent(desc, M, tol=max(tol, 1e-12))
+    res = classify_nilpotent(desc, M, tol=tol)
     if not isinstance(res, OrbitType):
         out = {"type": None, "holomorphic": False, "closure_max_s": None}
     else:
         closure = None
         for s in range(desc.r + 1):
-            if in_closure(desc, M, s, tol=max(tol, 1e-12)):
+            if in_closure(desc, M, s, tol=tol):
                 closure = s
                 break
         out = {"type": [res.t, res.u],

@@ -8,8 +8,11 @@ the three-dimensional bracket table comes out at twice the textbook
 normalization with identical signs; callers that need the classical scale
 divide once, and the tests pin the factor.
 
-Polynomial brackets are evaluated pointwise by the Leibniz rule from the
-linear brackets of the p+ coordinates and their conjugates (degree cap 4).
+The brackets of the p+ coordinates at a point xi are one contraction per
+block: trace([a, b] xi) = trace(b [xi, a]), so the stack [xi, m_j] over the
+duals m_j is formed once and paired with every dual at once.  Polynomial
+brackets follow by the Leibniz rule, grad f . L . grad g, from those linear
+brackets of the coordinates and their conjugates (degree cap 4).
 """
 
 import math
@@ -72,7 +75,9 @@ class PoissonContext:
         """(coeffs, matrices) for the p+ coordinates zeta_1..zeta_d.
 
         Row j holds complex basis coefficients of the representing element
-        c_j in the complexification; trace(c_j xi)/2 = zeta_j(xi).
+        c_j in the complexification; trace(c_j xi)/2 = zeta_j(xi).  The
+        conjugate duals, conj(coeffs) over the basis, are kept as `_bars`;
+        on a complex basis they are not the entrywise conjugates of c_j.
         """
         if self._pplus is None:
             d = pplus_dim(self.desc)
@@ -81,8 +86,8 @@ class PoissonContext:
                 w = to_p_plus(self.desc, proj_p(self.desc, b_a, check=False))
                 F[:, a] = pplus_coords(self.desc, w)
             coeffs = np.linalg.solve(self.pairing, F.T).T
-            mats = np.tensordot(coeffs, self.basis, 1)
-            self._pplus = (coeffs, mats)
+            self._pplus = (coeffs, np.tensordot(coeffs, self.basis, 1))
+            self._bars = np.tensordot(coeffs.conj(), self.basis, 1)
         return self._pplus
 
     def zeta_values(self, xi):
@@ -100,10 +105,28 @@ def lie_poisson_bracket_structure(ctx, a, b, xi):
     """Same value routed through the structure constants (cross-check path)."""
     ca = ctx.coordinates(a) if np.ndim(a) == 2 else np.asarray(a)
     cb = ctx.coordinates(b) if np.ndim(b) == 2 else np.asarray(b)
-    x = ctx.coordinates(xi)
     # {a,b}(xi) = sum c_ab^e P(b_e, xi) with a,b expanded over the basis
-    vals = np.array([half_trace(be, xi) for be in ctx.basis])
+    vals = np.einsum("eij,ji->e", ctx.basis, xi) / 2
     return complex(np.einsum("a,b,abe,e->", ca, cb, ctx.structure, vals))
+
+
+def _commutators(ctx, xi, stack):
+    """The stack [xi, s_j] for an evaluation point xi, which must be a finite
+    N x N matrix."""
+    xi = np.asarray(xi)
+    N = ctx.desc.N
+    if xi.shape != (N, N):
+        raise ValueError(f"evaluation point has shape {xi.shape}; "
+                         f"{ctx.desc.name()} needs {N} x {N}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("evaluation point has non-finite entries")
+    return xi @ stack - stack @ xi
+
+
+def _pair(stack, C):
+    """[P(s_k, C_j)]_jk = [trace(s_k C_j)/2]_jk for two stacks; one BLAS
+    product, several times faster than the same contraction by einsum."""
+    return np.tensordot(C, stack, axes=([1, 2], [2, 1])) / 2
 
 
 def pplus_bracket_matrix(ctx, xi):
@@ -111,17 +134,11 @@ def pplus_bracket_matrix(ctx, xi):
 
     The first matrix vanishes identically: the representing elements lie in
     an abelian eigenspace of ad_z, which is the polarization statement.
+    A point that is not a finite N x N matrix raises ValueError.
     """
-    coeffs, mats = ctx.pplus_duals()
-    bars = np.tensordot(coeffs.conj(), ctx.basis, 1)
-    d = len(mats)
-    B1 = np.zeros((d, d), dtype=complex)
-    B2 = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            B1[j, k] = np.trace((mats[j] @ mats[k] - mats[k] @ mats[j]) @ xi) / 2
-            B2[j, k] = np.trace((mats[j] @ bars[k] - bars[k] @ mats[j]) @ xi) / 2
-    return B1, B2
+    _, mats = ctx.pplus_duals()
+    C = _commutators(ctx, xi, mats)
+    return _pair(mats, C), _pair(ctx._bars, C)
 
 
 # --- polynomials in the p+ coordinates ------------------------------------------
@@ -215,31 +232,12 @@ class ZetaPoly:
 def poly_bracket(ctx, f, g, xi):
     """{f, g}(xi) by the Leibniz rule from the linear coordinate brackets."""
     B1, B2 = pplus_bracket_matrix(ctx, xi)
-    d = f.d
-    L = np.zeros((2 * d, 2 * d), dtype=complex)
-    L[:d, :d] = B1
-    L[:d, d:] = B2
-    L[d:, :d] = -B2.T
-    # {conj zeta_j, conj zeta_k} = conj({zeta_k, zeta_j} at conj-dual): compute direct
-    coeffs, _ = ctx.pplus_duals()
-    bars = np.tensordot(coeffs.conj(), ctx.basis, 1)
-    for j in range(d):
-        for k in range(d):
-            L[d + j, d + k] = np.trace(
-                (bars[j] @ bars[k] - bars[k] @ bars[j]) @ xi) / 2
+    bars = ctx._bars
+    L = np.block([[B1, B2], [-B2.T, _pair(bars, _commutators(ctx, xi, bars))]])
     w = ctx.zeta_values(xi)
-    total = 0j
-    for v1 in range(2 * d):
-        df = f.partial(v1)
-        if not df.terms:
-            continue
-        a = df.value(w)
-        for v2 in range(2 * d):
-            dg = g.partial(v2)
-            if not dg.terms:
-                continue
-            total += a * dg.value(w) * L[v1, v2]
-    return total
+    df, dg = (np.array([p.partial(v).value(w) for v in range(2 * len(bars))])
+              for p in (f, g))
+    return df @ L @ dg
 
 
 # --- the contraction family -------------------------------------------------------

@@ -130,6 +130,21 @@ def test_bracket_polarization_output(tmp_path, capsys):
     assert np.abs(np.array(got["zeta_zetabar"]["entries"], float)).max() > 0.1
 
 
+@pytest.mark.parametrize("point,message", (
+    ([[float("nan"), 0.0], [0.0, 0.0]], "non-finite"),
+    ([[0.0] * 3] * 3, "needs 4 x 4"),
+), ids=("nan", "3x3-on-sp(2,R)"))
+def test_bracket_rejects_bad_points(tmp_path, capsys, point, message):
+    path = tmp_path / "xi.json"
+    path.write_text(json.dumps(point))
+    params = "1" if len(point) == 2 else "2"
+    code = main(["bracket", "--family", "sp", "--params", params,
+                 "--at", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("orbitkit: ") and message in captured.err
+
+
 def test_jordan_norm_and_rank(tmp_path, capsys):
     from orbitkit.jordan import AlbertElement
     path = tmp_path / "A.json"
@@ -195,6 +210,38 @@ def test_table_output(capsys):
     code, out = run(capsys, "classify", "--family", "sp", "--params", "1",
                     "--input", "/nonexistent.json", "--output", "table")
     assert code == 1
+
+
+def test_classify_passes_tolerance_through(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "x.json"
+    _, out = run(capsys, "rep", "--family", "sp", "--params", "2", "--type", "1,0")
+    path.write_text(out)
+    seen = []
+
+    def recording(real):
+        def wrapped(*a, tol):
+            seen.append(tol)
+            return real(*a, tol=tol)
+        return wrapped
+
+    monkeypatch.setattr(cli, "classify_nilpotent", recording(cli.classify_nilpotent))
+    monkeypatch.setattr(cli, "in_closure", recording(cli.in_closure))
+    for tol in (float(np.finfo(float).eps), 3e-13):
+        seen.clear()
+        code, out = run(capsys, "classify", "--input", str(path),
+                        "--tolerance", repr(tol))
+        assert code == 0 and json.loads(out)["type"] == [1, 0]
+        assert seen and set(seen) == {tol}
+
+
+def test_classify_tolerance_below_machine_precision_is_an_error(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    _, out = run(capsys, "rep", "--family", "sp", "--params", "2", "--type", "1,0")
+    path.write_text(out)
+    code = main(["classify", "--input", str(path), "--tolerance", "1e-17"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("orbitkit: ") and "machine epsilon" in captured.err
 
 
 def test_matrix_codec_roundtrip():

@@ -201,6 +201,86 @@ def test_poly_leibniz_identity():
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+# --- the stacked kernel against pairwise references ----------------------------
+
+# the five algebras of the polarization benchmark; u(3,3) and so*(8) have
+# complex bases, on which the conjugate duals are not conj() of the duals
+BENCH_CTXS = [PoissonContext(make_algebra(f, p)) for f, p in (
+    ("sp", 4), ("u", (3, 3)), ("sostar", 4), ("so2q", 6), ("sp", 6))]
+BENCH_IDS = [c.desc.name() for c in BENCH_CTXS]
+
+
+def _pairwise_duals(ctx):
+    coeffs, mats = ctx.pplus_duals()
+    return list(mats), [np.tensordot(c, ctx.basis, 1) for c in coeffs.conj()]
+
+
+def _pairwise_bracket(a, b, xi):
+    return np.trace((a @ b - b @ a) @ xi) / 2
+
+
+def _bench_points(ctx, seed):
+    rng = np.random.default_rng(seed)
+    return [ctx.desc.z] + [random_element(ctx.desc, rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("ctx", BENCH_CTXS, ids=BENCH_IDS)
+def test_bracket_matrices_match_pairwise_reference(ctx):
+    mats, bars = _pairwise_duals(ctx)
+    d = len(mats)
+    for xi in _bench_points(ctx, 41):
+        ref1 = np.array([[_pairwise_bracket(mats[j], mats[k], xi)
+                          for k in range(d)] for j in range(d)])
+        ref2 = np.array([[_pairwise_bracket(mats[j], bars[k], xi)
+                          for k in range(d)] for j in range(d)])
+        B1, B2 = pplus_bracket_matrix(ctx, xi)
+        scale = max(1.0, np.abs(ref2).max())
+        assert np.abs(B1 - ref1).max() <= 1e-12 * scale
+        assert np.abs(B2 - ref2).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("ctx", BENCH_CTXS, ids=BENCH_IDS)
+def test_poly_bracket_matches_double_sum_reference(ctx):
+    # f = zeta_0 conj(zeta_1) + zeta_1^2 / 2, g = conj(zeta_0) zeta_1 + conj(zeta_1) + 2 zeta_0
+    mats, bars = _pairwise_duals(ctx)
+    d = len(mats)
+    Z = ZetaPoly
+    f = Z.zeta(d, 0) * Z.zeta_bar(d, 1) + 0.5 * (Z.zeta(d, 1) * Z.zeta(d, 1))
+    g = Z.zeta_bar(d, 0) * Z.zeta(d, 1) + Z.zeta_bar(d, 1) + 2.0 * Z.zeta(d, 0)
+    duals = mats + bars            # variables 0..d-1, then the conjugates
+    for xi in _bench_points(ctx, 43):
+        w = [np.trace(m @ xi) / 2 for m in mats]
+        wb = [np.trace(b @ xi) / 2 for b in bars]
+        df = {0: wb[1], 1: w[1], d + 1: w[0]}
+        dg = {d: w[1], 1: wb[0], d + 1: 1.0, 0: 2.0}
+        ref = sum(a * b * _pairwise_bracket(duals[v1], duals[v2], xi)
+                  for v1, a in df.items() for v2, b in dg.items())
+        got = poly_bracket(ctx, f, g, xi)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+BAD_POINTS = {
+    "nan": lambda N: np.where(np.eye(N) > 0, np.nan, 0.0),
+    "inf": lambda N: np.full((N, N), np.inf),
+    "too-small": lambda N: np.zeros((N - 1, N - 1)),
+    "not-square": lambda N: np.zeros((N, N + 1)),
+    "vector": lambda N: np.zeros(N),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_POINTS)
+def test_bad_evaluation_points_rejected(kind):
+    ctx = CTXS["sp(2,R)"]
+    xi = BAD_POINTS[kind](ctx.desc.N)
+    d = len(ctx.pplus_duals()[0])
+    f, g = ZetaPoly.zeta(d, 0), ZetaPoly.zeta_bar(d, 1)
+    match = "non-finite" if kind in ("nan", "inf") else "needs 4 x 4"
+    with pytest.raises(ValueError, match=match):
+        pplus_bracket_matrix(ctx, xi)
+    with pytest.raises(ValueError, match=match):
+        poly_bracket(ctx, f, g, xi)
+
+
 def test_degree_cap():
     d = 2
     q = ZetaPoly.zeta(d, 0) * ZetaPoly.zeta(d, 1)

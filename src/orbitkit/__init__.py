@@ -3,8 +3,8 @@ matrix models, sl2-triples, orbit classification, dual-pair momentum maps,
 Lie-Poisson brackets, and Jordan-algebra invariants."""
 
 from .classify import (
-    NOT_PSEUDOHOLOMORPHIC, OrbitType, admissible_types, classify_nilpotent,
-    in_closure, is_holomorphic, k_rank, pplus_closure_report,
+    NOT_PSEUDOHOLOMORPHIC, OrbitType, admissible_types, classify_many,
+    classify_nilpotent, in_closure, is_holomorphic, k_rank, pplus_closure_report,
     random_conjugate, semisimple_orbit_check,
 )
 from .divalg import AlgebraElement, DAMatrix, cd_conj, cd_mul

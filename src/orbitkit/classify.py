@@ -11,12 +11,14 @@ on mixed orbits it genuinely varies and is ignored.
 """
 
 from dataclasses import dataclass
+from math import factorial, isfinite
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
-from .liealg import _require_member, b_x_form, basis, frobenius
+from .liealg import (
+    _require_form, _require_member, basis, form_counts, frobenius, membership_residual,
+)
 
 
 class OrbitType(NamedTuple):
@@ -54,30 +56,78 @@ def k_rank(desc, X, tol=1e-8):
     return rank
 
 
+_EPS = np.finfo(float).eps
+
+
 def _require_tol(tol):
-    if not (np.isfinite(tol) and tol >= np.finfo(float).eps):
+    if not (isfinite(tol) and tol >= _EPS):
         raise ValueError(f"tolerance {tol!r} must be finite and at least machine epsilon")
 
 
 def classify_nilpotent(desc, X, tol=1e-8):
     """OrbitType (t, u) of X, or NOT_PSEUDOHOLOMORPHIC; ArithmeticError when
     the cut at tol gives a type with t + u > r."""
+    return classify_many(desc, np.asarray(X)[None], tol)[0]
+
+
+def classify_many(desc, Xs, tol=1e-8):
+    """classify_nilpotent of every matrix of a (k, N, N) stack, as a list.
+
+    The linear algebra runs on the whole stack.  Each element meets the
+    checks in this order: finiteness, membership, zero scale, square-zero,
+    the hermitian gap and so* parity of -J_V X, and t + u <= r.  When
+    elements fail, the error raised is the one of the first failing element.
+    """
     _require_tol(tol)
-    X = np.asarray(X)
-    _require_member(desc, X, tol)
+    Xs = np.asarray(Xs)
+    if Xs.ndim != 3 or Xs.shape[1:] != (desc.N, desc.N):
+        raise ValueError(f"expected {desc.N} x {desc.N} matrices, got shape {Xs.shape}")
+    amax = np.abs(Xs).max(axis=(1, 2), initial=0.0)    # NaN or inf when not finite
+    finite = np.isfinite(amax)
+    if not finite.all():
+        Xs = np.where(finite[:, None, None], Xs, 0)
+    # contains(), with the largest entries already at hand
+    member = [isfinite(a) and r <= tol * max(1.0, a)
+              for a, r in zip(amax.tolist(), membership_residual(desc, Xs).tolist())]
     if desc.family == "so2q":
-        return _classify_so2q(desc, X, tol)
-    scale = frobenius(X)
-    if scale <= tol:
-        return OrbitType(0, 0)
-    if frobenius(X @ X) > tol * scale * scale:
-        return NOT_PSEUDOHOLOMORPHIC
-    _, rank, sig = b_x_form(desc, X, tol)
-    res = OrbitType((rank + sig) // 2, (rank - sig) // 2)
-    if res.t + res.u > desc.r:
-        raise ArithmeticError(f"type {tuple(res)} exceeds rank r = {desc.r} of "
-                              f"{desc.name()} at tol={tol!r}; tolerance too tight")
-    return res
+        if not all(member):
+            _raise_for(desc, Xs, finite, member.index(False))
+        return [_classify_so2q(desc, X, tol) for X in Xs]
+    scale, scale2 = _frobenius(np.concatenate((Xs, Xs @ Xs))).reshape(2, -1)    # of X and X^2
+    # a type, None for a non-member, or True where the form decides the type
+    out = [None if not ok else OrbitType(0, 0) if s <= tol
+           else NOT_PSEUDOHOLOMORPHIC if s2 > tol * s * s else True
+           for ok, s, s2 in zip(member, scale.tolist(), scale2.tolist())]
+    live = [i for i, typ in enumerate(out) if typ is True]
+    if live:
+        _, gap, gap_bad, odd, rank, sig = form_counts(desc, Xs[live], tol)
+    forms = iter(range(len(live)))      # the place of each live element in form_counts
+    for i, typ in enumerate(out):
+        if typ is None:
+            _raise_for(desc, Xs, finite, i)
+        if typ is True:
+            j = next(forms)
+            _require_form(gap, gap_bad, odd, j)
+            k, g = int(rank[j]), int(sig[j])
+            out[i] = OrbitType((k + g) // 2, (k - g) // 2)
+            if out[i].t + out[i].u > desc.r:
+                raise ArithmeticError(f"type {tuple(out[i])} exceeds rank r = {desc.r} of "
+                                      f"{desc.name()} at tol={tol!r}; tolerance too tight")
+    return out
+
+
+def _frobenius(Xs):
+    """Frobenius norm of each matrix of a stack."""
+    v = Xs.reshape(len(Xs), Xs.shape[1] * Xs.shape[2])
+    return np.sqrt(np.vecdot(v, v).real)
+
+
+def _raise_for(desc, Xs, finite, i):
+    """The membership error of element i: non-finite, or outside the algebra."""
+    if not finite[i]:
+        raise ValueError(f"matrix has non-finite entries; not an element of {desc.name()}")
+    raise ValueError(f"matrix is not in {desc.name()} "
+                     f"(residual {membership_residual(desc, Xs[i]):.3e})")
 
 
 def is_holomorphic(desc, X, tol=1e-8):
@@ -224,15 +274,57 @@ def random_exp_product(B, rng, steps):
     Each xi is a combination of the basis stack B with N(0, 1) coefficients,
     scaled down to Frobenius norm 0.5 when it is larger.
     """
+    xi = lie_steps(rng.standard_normal((int(steps), len(B))), B)
+    E = expm(np.concatenate([xi, -xi]))
     g = ginv = np.eye(B.shape[-1], dtype=B.dtype)
-    for _ in range(int(steps)):
-        xi = np.tensordot(rng.standard_normal(len(B)), B, 1)
-        nrm = frobenius(xi)
-        if nrm > 0.5:
-            xi = xi * (0.5 / nrm)
-        g = g @ expm(xi)
-        ginv = expm(-xi) @ ginv
+    for e, einv in zip(E[:len(xi)], E[len(xi):]):
+        g = g @ e
+        ginv = einv @ ginv
     return g, ginv
+
+
+def lie_steps(coeffs, B):
+    """The combinations coeffs . B over the last axis of coeffs, each scaled
+    down to Frobenius norm 0.5 when it is larger."""
+    xi = np.tensordot(coeffs, B, 1)
+    return xi * (0.5 / np.maximum(np.linalg.norm(xi, axis=(-2, -1)), 0.5))[..., None, None]
+
+
+# Degree-13 Pade coefficients b_k / b_0 = (26-k)! 13! / (26! k! (13-k)!) and
+# the largest 1-norm at which the approximant alone is accurate to double
+# precision (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193).
+_PADE13 = [factorial(26 - k) * factorial(13) / (factorial(26) * factorial(k) * factorial(13 - k))
+           for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
+def expm(A):
+    """exp(A) for a square matrix or a (..., n, n) stack.
+
+    Scaling and squaring with the degree-13 Pade approximant: each matrix is
+    scaled by 2^-s to 1-norm at most theta_13, and the approximant squared
+    s times.  A matrix of a stack gets the same bits as it gets alone, and
+    a square-zero X with dyadic entries gives I + X exactly.
+    """
+    A = np.asarray(A)
+    if not np.issubdtype(A.dtype, np.inexact):
+        A = A.astype(float)
+    mant, expo = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0) / _THETA13)
+    s = np.maximum(expo - (mant == 0.5), 0)     # least s >= 0 with norm / 2^s <= theta
+    A = A / np.exp2(s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(A.shape[-1], dtype=A.dtype)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye)
+    R = np.linalg.solve(V - U, V + U)
+    for i in range(int(s.max(initial=0))):
+        R = np.where((s > i)[..., None, None], R @ R, R)
+    return R
 
 
 def random_conjugate(desc, X, steps=3, seed=None, rng=None):

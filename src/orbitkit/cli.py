@@ -570,12 +570,19 @@ def cmd_verify(args):
     return code
 
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
+
+
 def _add_common(p):
     p.add_argument("--family", choices=("sp", "u", "sostar", "so2q"))
     p.add_argument("--params", help="size parameters, e.g. 3 or 2,1")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--input", help="input JSON file")
     p.add_argument("--output", choices=("json", "table"), default="json")
 

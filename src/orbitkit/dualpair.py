@@ -51,7 +51,7 @@ from .liealg import (
     make_algebra,
     quaternionic_involution,
 )
-from .classify import classify_nilpotent, random_exp_product
+from .classify import classify_many, expm, lie_steps, random_exp_product
 
 CASES = ("o-sp", "u-u", "sp-sostar", "sp-so2q")
 
@@ -147,16 +147,17 @@ def map_residual(config, alpha):
 
 
 def check_map(config, alpha, tol=DEFAULT_TOL):
+    """alpha, after checking that it is an interlacing map, or a stack of them."""
     alpha = np.asarray(alpha)
-    if alpha.shape != config.shape:
+    if alpha.shape[-2:] != config.shape:
         raise ValueError(
             f"interlacing map must have shape {config.shape}, got {alpha.shape}"
         )
-    res = map_residual(config, alpha)
-    if res > tol * max(1.0, frobenius(alpha)):
-        raise ValueError(
-            f"matrix is not a valid {config.case} interlacing map (residual {res:.2e})"
-        )
+    res = np.ravel(map_residual(config, alpha))
+    over = res > tol * np.maximum(1.0, np.ravel(np.linalg.norm(alpha, axis=(-2, -1))))
+    if over.any():
+        raise ValueError(f"matrix is not a valid {config.case} interlacing map "
+                         f"(residual {res[over.argmax()]:.2e})")
     return alpha
 
 
@@ -187,10 +188,10 @@ def dagger(config, alpha):
     """
     alpha = check_map(config, alpha)
     if config.case == "sp-so2q":
-        return config.gs @ alpha.T @ config.target.G
+        return config.gs @ alpha.mT @ config.target.G
     if config.case == "o-sp":
-        return config.gs @ alpha.T @ config.target.J_V
-    return config.gs @ alpha.conj().T @ config.target.J_V
+        return config.gs @ alpha.mT @ config.target.J_V
+    return config.gs @ alpha.conj().mT @ config.target.J_V
 
 
 def mu_h(config, alpha):
@@ -292,10 +293,11 @@ def _isotropic_frame(config):
     return U
 
 
-def _zero_level_sample(config, rng, spread=True):
-    U = _isotropic_frame(config)
-    m = U.shape[1]
-    cols = config.s if config.case != "sp-so2q" else 2 * config.sprime
+def _zero_level_draws(config, rng, m, cols, dims):
+    """One sample's numbers, in the order they are drawn: the rank k, the
+    frame coefficients C (m x cols, rank k), then, when dims holds the
+    dimensions of g and h, two coefficient rows for the target
+    exponentials and two for the source ones."""
     k = int(rng.integers(0, min(m, cols) + 1)) if min(m, cols) > 0 else 0
     if config.case in ("u-u", "sp-sostar"):
         C = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) @ (
@@ -303,40 +305,47 @@ def _zero_level_sample(config, rng, spread=True):
         )
     else:
         C = rng.standard_normal((m, k)) @ rng.standard_normal((k, cols))
-    A = U @ C
-    if config.case == "sp-sostar":
-        s = config.s
-        alpha = _hom_rep(A, np.zeros((A.shape[0], s), dtype=complex))
-    else:
-        alpha = A
-    if spread:
-        y, _ = random_g_isometry(config, rng)
-        _, xinv = random_h_isometry(config, rng)
-        alpha = y @ alpha @ xinv
-    return alpha
+    if dims is None:
+        return C, None, None
+    return C, rng.standard_normal((2, dims[0])), rng.standard_normal((2, dims[1]))
 
 
 def sample_zero_level(config, count, seed, spread=True):
-    """count interlacing maps with mu_h identically zero.
+    """A (count,) + shape stack of interlacing maps with mu_h identically zero.
 
     Constructive: isotropic-frame columns, then two-sided isometry
-    spreading (which fixes the zero level by equivariance).  Each sample
-    draws from its own spawned seed stream.
+    spreading y alpha x^-1 (which fixes the zero level by equivariance).
+    Each sample draws its numbers from its own spawned seed stream; the
+    linear algebra then runs on the whole stack, so the first n samples
+    of a larger count are the n samples of count n, bit for bit.
     """
     if config.case not in CASES:
         warnings.warn(f"no zero-level construction for case {config.case!r}")
-        return []
-    out = []
-    for child in np.random.SeedSequence(seed).spawn(int(count)):
-        out.append(_zero_level_sample(config, np.random.default_rng(child), spread))
-    return out
+        return np.zeros((0,) + config.shape)
+    U = _isotropic_frame(config)
+    m = U.shape[1]
+    cols = config.s if config.case != "sp-so2q" else 2 * config.sprime
+    Bg, Bh = basis(config.target), h_basis(config)
+    dims = (len(Bg), len(Bh)) if spread else None
+    draws = [_zero_level_draws(config, np.random.default_rng(child), m, cols, dims)
+             for child in np.random.SeedSequence(seed).spawn(int(count))]
+    alpha = U @ np.array([d[0] for d in draws], dtype=U.dtype).reshape(len(draws), m, cols)
+    if config.case == "sp-sostar":
+        alpha = _hom_rep(alpha, np.zeros_like(alpha))
+    if not spread or not draws:
+        return alpha
+    Eg = expm(lie_steps(np.array([d[1] for d in draws]), Bg))
+    Eh = expm(-lie_steps(np.array([d[2] for d in draws]), Bh))
+    y = Eg[:, 0] @ Eg[:, 1]
+    xinv = Eh[:, 1] @ Eh[:, 0]
+    return y @ alpha @ xinv
 
 
 def reduce_and_classify(config, count, seed, tol=1e-8):
     """Histogram of orbit types of mu_g over the sampled zero level."""
     hist = {}
-    for alpha in sample_zero_level(config, count, seed):
-        t = classify_nilpotent(config.target, mu_g(config, alpha), tol=tol)
+    alphas = sample_zero_level(config, count, seed)
+    for t in classify_many(config.target, mu_g(config, alphas), tol=tol):
         hist[t] = hist.get(t, 0) + 1
     return hist
 

@@ -145,13 +145,13 @@ def conj(X):
 
 def neg_transpose(X):
     """X -> -X^T: its fixed points are the antisymmetric matrices."""
-    return -X.T
+    return -X.mT
 
 
 def form_involution(F):
     """X -> -F^-1 X* F for a unitary F: its fixed points solve X* F + F X = 0."""
     Fh = F.conj().T
-    return lambda X: -(Fh @ X.conj().T @ F)
+    return lambda X: -(Fh @ X.conj().mT @ F)
 
 
 def quaternionic_involution(J_left, J_right):
@@ -161,10 +161,15 @@ def quaternionic_involution(J_left, J_right):
 
 
 def fixed_residual(invs, X):
-    """Largest entry of X - theta(X) over the involutions theta (NaN stays NaN)."""
+    """Largest entry of X - theta(X) over the involutions theta (NaN stays NaN);
+    a float for one matrix, an array of one value per matrix for a stack."""
     X = np.asarray(X)
-    return float(np.max([np.abs(X - th(X)).max(initial=0.0) for th in invs],
-                        initial=0.0))
+    res = np.zeros(X.shape[:-2])
+    for th in invs:
+        if th is conj and not np.iscomplexobj(X):
+            continue        # conj fixes every real matrix
+        res = np.maximum(res, np.abs(X - th(X)).max(axis=(-2, -1), initial=0.0))
+    return res if res.ndim else float(res)
 
 
 def fixed_basis(invs, shape):
@@ -208,18 +213,20 @@ def involutions(desc):
 
 
 def membership_residual(desc, M):
-    """Largest entry of M - theta(M) over the algebra's involutions."""
+    """Largest entry of M - theta(M) over the algebra's involutions, for one
+    matrix or per matrix of a stack."""
     M = np.asarray(M)
-    if M.shape != (desc.N, desc.N):
+    if M.shape[-2:] != (desc.N, desc.N):
         raise ValueError(f"expected {desc.N} x {desc.N} matrix, got {M.shape}")
     return fixed_residual(involutions(desc), M)
 
 
 def contains(desc, M, tol=DEFAULT_TOL):
-    """True iff M solves the defining equations to tolerance (False on NaN)."""
+    """True iff M solves the defining equations to tolerance (False on NaN);
+    one flag per matrix of a stack."""
     M = np.asarray(M)
-    scale = max(1.0, np.abs(M).max())
-    return membership_residual(desc, M) <= tol * scale
+    res = membership_residual(desc, M)
+    return res <= tol * np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
 
 
 def _require_member(desc, M, tol=1e-8):
@@ -266,22 +273,42 @@ def b_x_form(desc, X, tol=1e-8):
     Quaternionic counts (so*) are the complex ones halved.  Not defined for
     so(2,q), whose model carries no ambient J_V.
     """
+    M, gap, gap_bad, odd, rank, sig = form_counts(desc, np.asarray(X)[None], tol)
+    _require_form(gap, gap_bad, odd, 0)
+    return M[0], int(rank[0]), int(sig[0])
+
+
+def form_counts(desc, Xs, tol=1e-8):
+    """b_x_form over a (k, N, N) stack, with its checks as flags.
+
+    Returns the hermitian parts of -J_V X, the hermitian gaps, the flags of
+    gaps above 1e-9 of the largest entry, the flags of odd so* counts, and
+    the ranks and signatures at tol (halved for so*).
+    """
     if desc.family == "so2q":
         raise ValueError("b_x_form is not supported for so(2,q)")
-    M = -desc.J_V @ np.asarray(X)
-    herm_gap = np.abs(M - M.conj().T).max()
-    if herm_gap > 1e-9 * max(1.0, np.abs(M).max()):
-        raise ValueError(f"form matrix failed the hermitian check ({herm_gap:.2e})")
-    M = (M + M.conj().T) / 2
+    M = desc.J_V @ Xs           # the sign of -J_V X enters below
+    Mh = M.conj().mT
+    gap = np.abs(M - Mh).max(axis=(1, 2), initial=0.0)
+    gap_bad = gap > 1e-9 * np.maximum(1.0, np.abs(M).max(axis=(1, 2), initial=0.0))
+    M = (M + Mh) / -2
     ev = np.linalg.eigvalsh(M)
-    thr = tol * max(1.0, np.abs(ev).max())
-    rank = int(np.sum(np.abs(ev) > thr))
-    sig = int(np.sum(ev > thr) - np.sum(ev < -thr))
-    if desc.family == "sostar":
-        if rank % 2 or sig % 2:
-            raise ValueError("odd rank/signature contradicts the quaternionic structure")
-        rank, sig = rank // 2, sig // 2
-    return M, rank, sig
+    a = np.abs(ev)
+    thr = tol * np.maximum(1.0, a.max(axis=1, keepdims=True))
+    rank = (a > thr).sum(axis=1)
+    sig = 2 * (ev > thr).sum(axis=1) - rank
+    if desc.family != "sostar":
+        return M, gap, gap_bad, np.zeros_like(gap_bad), rank, sig
+    # rank and signature have the same parity
+    return M, gap, gap_bad, rank % 2 == 1, rank // 2, sig // 2
+
+
+def _require_form(gap, gap_bad, odd, i):
+    """Raise the error of element i of form_counts, if it has one."""
+    if gap_bad[i]:
+        raise ValueError(f"form matrix failed the hermitian check ({gap[i]:.2e})")
+    if odd[i]:
+        raise ValueError("odd rank/signature contradicts the quaternionic structure")
 
 
 # --- the p <-> p+ chart -----------------------------------------------------

@@ -231,6 +231,10 @@ class ZetaPoly:
 
 def poly_bracket(ctx, f, g, xi):
     """{f, g}(xi) by the Leibniz rule from the linear coordinate brackets."""
+    d = ctx.desc.pplus_dim
+    if f.d != d or g.d != d:
+        raise ValueError(f"polynomials in {f.d} and {g.d} variables; {ctx.desc.name()} "
+                         f"has {d} p+ coordinates")
     B1, B2 = pplus_bracket_matrix(ctx, xi)
     bars = ctx._bars
     L = np.block([[B1, B2], [-B2.T, _pair(bars, _commutators(ctx, xi, bars))]])
@@ -268,11 +272,11 @@ def model_metric_and_curvature(m, zeta):
 
 
 def disc_model_bracket(eps, y1, y2):
-    """{y1, y2} = (eps/4)(1 - r^2/eps^2)^2 on the disc r^2 < eps."""
+    """{y1, y2} = (eps/4)(1 - r^2/eps^2)^2 on the disc r^2 < eps^2."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     r2 = y1 * y1 + y2 * y2
-    if r2 >= eps:
+    if r2 >= eps * eps:
         raise ValueError(f"point with r^2 = {r2} is outside the disc of {eps}")
     return (eps / 4.0) * (1.0 - r2 / eps ** 2) ** 2
 

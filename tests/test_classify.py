@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orbitkit.classify import (
-    NOT_PSEUDOHOLOMORPHIC, OrbitType, admissible_types, classify_nilpotent,
+    NOT_PSEUDOHOLOMORPHIC, OrbitType, admissible_types, classify_many, classify_nilpotent,
     in_closure, is_holomorphic, k_rank, pplus_closure_report, random_conjugate,
     semisimple_orbit_check,
 )
@@ -90,6 +90,67 @@ def test_type_beyond_rank_raises():
     with pytest.raises(ArithmeticError, match=r"r = 3 .*tol=2\.3e-16"):
         for alpha in sample_zero_level(cfg, 200, seed=1):
             classify_nilpotent(cfg.target, mu_g(cfg, alpha), tol=2.3e-16)
+
+
+def _mixed_stack(desc, seed):
+    """Every admissible representative and a conjugate of each, zero, and the
+    H-element z, which is not square-zero."""
+    rng = np.random.default_rng(seed)
+    Xs = [np.zeros((desc.N, desc.N)), desc.z]
+    for t, u in admissible_types(desc):
+        X = orbit_rep(desc, t, u)
+        Xs += [X, random_conjugate(desc, X, rng=rng)]
+    return np.array(Xs, dtype=complex if desc.base == "C" else float)
+
+
+@pytest.mark.parametrize("desc", ALL, ids=IDS)
+def test_classify_many_matches_one_by_one(desc):
+    Xs = _mixed_stack(desc, 17)
+    got = classify_many(desc, Xs)
+    assert got == [classify_nilpotent(desc, X) for X in Xs]
+    assert got[0] == (0, 0) and got[1] is NOT_PSEUDOHOLOMORPHIC
+    assert classify_many(desc, Xs[:0]) == []
+
+
+def _first_error(desc, Xs, tol):
+    for X in Xs:
+        try:
+            classify_nilpotent(desc, X, tol=tol)
+        except (ValueError, ArithmeticError) as exc:
+            return exc
+    return None
+
+
+def test_classify_many_raises_the_error_of_the_first_bad_element():
+    sp3 = make_algebra("sp", 3)
+    good = orbit_rep(sp3, 2, 0)
+    nan = good.copy()
+    nan[0, 3] = np.nan
+    outside = good + np.eye(6)
+    # off the algebra by 5e-9: a member at tol 1e-8, but -J_V X fails the
+    # 1e-9 hermitian check
+    gap = good.copy()
+    gap[0, 0] += 5e-9
+    cfg = make_dual_pair("o-sp", 3, 0, (3,))
+    mus = mu_g(cfg, sample_zero_level(cfg, 200, seed=1))
+    beyond = next(X for X in mus if isinstance(_first_error(sp3, [X], 2.3e-16), ArithmeticError))
+    bads = [nan, outside, gap, beyond]
+    kinds = ("non-finite", "is not in", "hermitian", "exceeds rank")
+    seen = set()
+    for tol in (1e-8, 2.3e-16):     # beyond fails only at 2.3e-16, gap only at 1e-8
+        for X in bads:
+            for other in bads:
+                Xs = np.array([good, X, good, other])
+                want = _first_error(sp3, Xs, tol)
+                if want is None:
+                    assert classify_many(sp3, Xs, tol=tol) == [
+                        classify_nilpotent(sp3, Y, tol=tol) for Y in Xs]
+                    continue
+                with pytest.raises(type(want)) as got:
+                    classify_many(sp3, Xs, tol=tol)
+                assert str(got.value) == str(want)
+                seen |= {k for k in kinds if k in str(want)}
+    assert seen == set(kinds)
 
 
 def test_non_nilpotent_is_not_pseudoholomorphic():

@@ -99,14 +99,14 @@ def test_reduce_reports_unclassified_samples(monkeypatch, capsys):
             "--target", "3", "--samples", "20", "--seed", "7")
     _, clean = run(capsys, *argv)
     assert "unclassified" not in json.loads(clean)
-    calls = []
-    real = dualpair.classify_nilpotent
+    real = dualpair.classify_many
 
-    def fails_on_fifth(desc, X, tol=1e-8):
-        calls.append(1)
-        return NOT_PSEUDOHOLOMORPHIC if len(calls) == 5 else real(desc, X, tol=tol)
+    def fails_on_fifth(desc, Xs, tol=1e-8):
+        types = real(desc, Xs, tol=tol)
+        types[4] = NOT_PSEUDOHOLOMORPHIC
+        return types
 
-    monkeypatch.setattr(dualpair, "classify_nilpotent", fails_on_fifth)
+    monkeypatch.setattr(dualpair, "classify_many", fails_on_fifth)
     code, out = run(capsys, *argv)
     assert code == 0
     got = json.loads(out)
@@ -242,6 +242,14 @@ def test_classify_tolerance_below_machine_precision_is_an_error(tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("orbitkit: ") and "machine epsilon" in captured.err
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_samples_must_be_positive(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "classify", "--samples", count])
+    assert exc.value.code == 2
+    assert "--samples: must be a positive integer" in capsys.readouterr().err
 
 
 def test_matrix_codec_roundtrip():

@@ -369,6 +369,15 @@ def test_zero_level_is_exact(cfg):
             assert k_rank(cfg.target, mg) <= min(r, s_k)
 
 
+@pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+def test_zero_level_prefix_is_the_smaller_sample(cfg):
+    few = dp.sample_zero_level(cfg, 4, seed=71)
+    many = dp.sample_zero_level(cfg, 100, seed=71)
+    assert few.shape == (4,) + cfg.shape and many.shape == (100,) + cfg.shape
+    assert np.array_equal(few, many[:4])
+    assert dp.sample_zero_level(cfg, 0, seed=71).shape == (0,) + cfg.shape
+
+
 def test_zero_level_other_direction():
     # mu_g = 0 forces mu_h squared to vanish; isotropic ROW spaces do it
     cfg = dp.make_dual_pair("u-u", 1, 1, (1, 1))

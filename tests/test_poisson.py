@@ -333,6 +333,22 @@ def test_disc_bracket_values_and_domain():
         disc_model_bracket(0.0, 0.0, 0.0)
 
 
+def test_disc_domain_is_r_below_eps():
+    # the pull-back of x = (100, 0) at eps = 4 has r^2 = 14.7: inside r < 4
+    m = ContractionModel(4.0)
+    y1, y2 = stereographic_to_disc(m, 100.0, 0.0)
+    assert 4.0 < y1 * y1 + y2 * y2 < 16.0
+    h = 1e-20
+    d11 = stereographic_to_disc(m, 100.0 + 1j * h, 0.0)[0].imag / h
+    d22 = stereographic_to_disc(m, 100.0, 1j * h)[1].imag / h
+    pulled = d11 * d22 * contraction_bracket(m, 100.0, 0.0)
+    assert abs(pulled - disc_model_bracket(4.0, y1, y2)) <= 1e-9
+    assert disc_model_bracket(4.0, 3.0, 2.0) == pytest.approx((1 - 13 / 16) ** 2)
+    # (0.6, 0) lies outside the disc r < 0.5
+    with pytest.raises(ValueError, match="outside"):
+        disc_model_bracket(0.5, 0.6, 0.0)
+
+
 def test_stereographic_pullback_matches_disc_bracket():
     # {y1,y2} = det(Jacobian) {x1,x2}; the Jacobian comes from complex-step
     # differentiation, so the only error budget is the model mismatch itself
@@ -350,6 +366,14 @@ def test_stereographic_pullback_matches_disc_bracket():
             det = d11 * d22 - d12 * d21
             pulled = det * contraction_bracket(m, x1, x2)
             assert abs(pulled - disc_model_bracket(eps, y1, y2)) <= 1e-9
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_poly_bracket_rejects_a_variable_count_mismatch(l):
+    desc = make_algebra("sp", l)
+    ctx = PoissonContext(desc)
+    with pytest.raises(ValueError, match=f"2 and 2 variables; sp\\({l},R\\) has {desc.pplus_dim} "):
+        poly_bracket(ctx, ZetaPoly.zeta(2, 0), ZetaPoly.zeta_bar(2, 1), desc.z)
 
 
 # --- circle momentum --------------------------------------------------------------
